@@ -114,15 +114,20 @@ percentile(std::span<const double> v, double p)
 {
     panic_if(v.empty(), "percentile of empty span");
     panic_if(p < 0 || p > 100, "percentile %g out of [0,100]", p);
-    std::vector<double> sorted(v.begin(), v.end());
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted.size() == 1)
-        return sorted[0];
-    const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+    if (v.size() == 1)
+        return v[0];
+    const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
     const size_t lo = static_cast<size_t>(std::floor(rank));
-    const size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
     const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+    // Selection, not a sort: nth_element puts the lo-th order
+    // statistic at lo with nothing smaller after it, so the hi-th is
+    // the minimum of [hi, n).  These are the two values a sorted copy
+    // holds at lo and hi, so the interpolation is bitwise the same.
+    std::vector<double> work(v.begin(), v.end());
+    std::nth_element(work.begin(), work.begin() + lo, work.end());
+    const double at_hi = *std::min_element(work.begin() + hi, work.end());
+    return work[lo] * (1.0 - frac) + at_hi * frac;
 }
 
 double

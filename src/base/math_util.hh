@@ -47,8 +47,9 @@ double stddev(std::span<const double> v);
 double geomean(std::span<const double> v);
 
 /**
- * Linear-interpolated percentile, p in [0, 100].  The span is copied
- * and sorted internally.
+ * Linear-interpolated percentile, p in [0, 100].  Linear time: the two
+ * order statistics it interpolates between are found by selection on
+ * a copy of the span, and equal what a full sort would place there.
  */
 double percentile(std::span<const double> v, double p);
 

@@ -10,6 +10,7 @@
 
 #include "base/logging.hh"
 #include "obs/trace.hh"
+#include "parallel.hh"
 #include "workloads/registry.hh"
 
 namespace gpuscale {
@@ -34,9 +35,15 @@ runCensus(const gpu::PerfModel &model,
     census.surfaces = sweepKernels(model, kernels, census.space,
                                    progress, journal, cancel);
     {
+        // Classified on the pool into pre-sized slots, as the sweep
+        // fills its runtimes.  Not cancellable: once every kernel is
+        // swept, the census is worth finishing.
         GPUSCALE_TRACE_SCOPE("census.classify");
-        census.classifications =
-            scaling::classifyAll(census.surfaces, params);
+        census.classifications.resize(census.surfaces.size());
+        parallelFor(census.surfaces.size(), [&](size_t k) {
+            census.classifications[k] =
+                scaling::classifySurface(census.surfaces[k], params);
+        });
     }
     return census;
 }

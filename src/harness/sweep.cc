@@ -70,15 +70,18 @@ struct SweepMetrics {
 };
 
 /**
- * Sweep one kernel over the whole grid: one cache probe, then one
- * batched model evaluation on a miss.  The per-estimate latency
- * histogram is fed the batch's amortized per-point cost, and
- * sweep.estimates.count advances only for estimates actually computed
- * (cache hits are free and are counted by sweep.cache.hits).
+ * Sweep one kernel over the whole grid: build its cache key, one
+ * cache probe, then one batched model evaluation on a miss.  Under
+ * sweepKernels it runs in a shard, so key building is spread over the
+ * pool and a journal-replayed kernel never builds a key.  The
+ * per-estimate latency histogram is fed the batch's amortized
+ * per-point cost, and sweep.estimates.count advances only for
+ * estimates actually computed (cache hits are free and are counted by
+ * sweep.cache.hits).
  */
 std::vector<double>
 sweepOne(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
-         const gpu::ConfigGrid &grid, const std::string &key)
+         const gpu::ConfigGrid &grid)
 {
     SweepMetrics &metrics = SweepMetrics::get();
     GPUSCALE_TRACE_SCOPE("sweep/" + kernel.name);
@@ -88,6 +91,7 @@ sweepOne(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
     // models a crashing worker.
     faultPoint("sweep.kernel");
 
+    const std::string key = SweepCache::keyFor(model, kernel, grid);
     std::vector<double> runtimes;
     if (SweepCache::instance().lookup(key, runtimes)) {
         debuglog("swept %s: %zu configs (cached)", kernel.name.c_str(),
@@ -117,9 +121,8 @@ sweepKernel(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
             const scaling::ConfigSpace &space)
 {
     const gpu::ConfigGrid grid = space.grid();
-    const std::string key = SweepCache::keyFor(model, kernel, grid);
     return scaling::ScalingSurface(kernel.name, space,
-                                   sweepOne(model, kernel, grid, key));
+                                   sweepOne(model, kernel, grid));
 }
 
 std::vector<scaling::ScalingSurface>
@@ -134,12 +137,6 @@ sweepKernels(const gpu::PerfModel &model,
 
     SweepMetrics &metrics = SweepMetrics::get();
     const gpu::ConfigGrid grid = space.grid();
-
-    // Cache keys are computed up front on the calling thread; only
-    // the model evaluations are worth farming out.
-    std::vector<std::string> keys(kernels.size());
-    for (size_t k = 0; k < kernels.size(); ++k)
-        keys[k] = SweepCache::keyFor(model, *kernels[k], grid);
 
     //
     // Shard kernels into contiguous slices, several per worker so a
@@ -169,7 +166,7 @@ sweepKernels(const gpu::PerfModel &model,
                     progress->tick();
                 continue;
             }
-            runtimes[k] = sweepOne(model, *kernels[k], grid, keys[k]);
+            runtimes[k] = sweepOne(model, *kernels[k], grid);
             if (journal != nullptr)
                 journal->record(kernels[k]->name, runtimes[k]);
             if (progress != nullptr)

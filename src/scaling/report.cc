@@ -5,7 +5,9 @@
 
 #include "report.hh"
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -214,10 +216,21 @@ readSurfacesCsv(std::string_view text, gpu::GpuConfig base)
     // Locale-independent field parse; atof would read "1,5" as 1
     // under e.g. de_DE and silently bend the whole grid.  Returns
     // nullopt instead of aborting so one mangled row costs one grid
-    // point, not the whole report.
-    auto csvInt = [](const std::string &field) -> std::optional<int> {
+    // point, not the whole report.  parseDouble accepts "nan" and
+    // "inf", which no knob or runtime can be, so they count as
+    // malformed here; so does a cus that does not fit an int.
+    auto csvNumber =
+        [](const std::string &field) -> std::optional<double> {
         const auto v = parseDouble(field);
-        if (!v || *v != static_cast<int>(*v))
+        if (!v || !std::isfinite(*v))
+            return std::nullopt;
+        return v;
+    };
+    auto csvInt = [&](const std::string &field) -> std::optional<int> {
+        const auto v = csvNumber(field);
+        if (!v || *v < std::numeric_limits<int>::min() ||
+            *v > std::numeric_limits<int>::max() ||
+            *v != static_cast<int>(*v))
             return std::nullopt;
         return static_cast<int>(*v);
     };
@@ -232,9 +245,9 @@ readSurfacesCsv(std::string_view text, gpu::GpuConfig base)
         const size_t line = r < doc.row_lines.size()
                                 ? doc.row_lines[r] : r + 2;
         const auto cus = csvInt(row[col_cus]);
-        const auto core = parseDouble(row[col_core]);
-        const auto mem = parseDouble(row[col_mem]);
-        const auto rt = parseDouble(row[col_rt]);
+        const auto core = csvNumber(row[col_core]);
+        const auto mem = csvNumber(row[col_mem]);
+        const auto rt = csvNumber(row[col_rt]);
         const bool injected = faultPoint("csv.ingest.row");
         if (injected || !cus || !core || !mem || !rt) {
             warn("surface CSV line %zu: %s; row skipped", line,

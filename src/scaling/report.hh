@@ -62,7 +62,9 @@ void writeSurfaceCsv(std::ostream &os, const ScalingSurface &surface);
  * on real hardware, dump the samples, and run the same taxonomy.
  * The grid is inferred from the distinct knob values; every kernel
  * must cover the full grid exactly once or the parse is a fatal()
- * user error.
+ * user error.  A row with a malformed number (unparseable, nan, inf,
+ * or a cus outside int range) is warned about, skipped and counted in
+ * csv.rows.skipped, and the kernel it leaves short is dropped.
  *
  * @param text CSV content.
  * @param base fixed microarchitecture parameters for the inferred

@@ -6,6 +6,7 @@
 #include "surface.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "base/logging.hh"
 #include "base/math_util.hh"
@@ -21,9 +22,12 @@ ScalingSurface::ScalingSurface(std::string kernel_name, ConfigSpace space,
     fatal_if(runtimes_.size() != space_.size(),
              "surface for %s: %zu runtimes for a %zu-point grid",
              kernel_name_.c_str(), runtimes_.size(), space_.size());
+    // NaN and inf are rejected too: a NaN breaks the strict weak
+    // order that percentile() and every min/max here rely on.
     for (size_t i = 0; i < runtimes_.size(); ++i) {
-        fatal_if(runtimes_[i] <= 0.0,
-                 "surface for %s: non-positive runtime %g at index %zu",
+        fatal_if(!(std::isfinite(runtimes_[i]) && runtimes_[i] > 0.0),
+                 "surface for %s: runtime %g at index %zu is not "
+                 "finite and positive",
                  kernel_name_.c_str(), runtimes_[i], i);
     }
 }

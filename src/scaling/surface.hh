@@ -27,7 +27,8 @@ class ScalingSurface
      * @param kernel_name canonical kernel name.
      * @param space the grid the samples cover.
      * @param runtimes_s per-configuration runtimes in seconds,
-     *        indexed by ConfigSpace::flatten order; all positive.
+     *        indexed by ConfigSpace::flatten order; all finite and
+     *        positive.
      */
     ScalingSurface(std::string kernel_name, ConfigSpace space,
                    std::vector<double> runtimes_s);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -94,9 +95,52 @@ TEST(PercentileTest, Interpolates)
     EXPECT_NEAR(percentile(v, 0), 10.0, 1e-12);
     EXPECT_NEAR(percentile(v, 100), 40.0, 1e-12);
     EXPECT_NEAR(percentile(v, 50), 25.0, 1e-12);
-    // Unsorted input is sorted internally.
+    // Input order does not matter.
     const std::vector<double> u{40, 10, 30, 20};
     EXPECT_NEAR(percentile(u, 50), 25.0, 1e-12);
+}
+
+/** The textbook definition: sort a copy, interpolate lo and hi. */
+double
+sortedPercentile(std::vector<double> v, double p)
+{
+    std::sort(v.begin(), v.end());
+    if (v.size() == 1)
+        return v[0];
+    const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+    const size_t lo = static_cast<size_t>(std::floor(rank));
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+TEST(PercentileTest, SelectionIsBitwiseTheSortedDefinition)
+{
+    // Sizes cover the trivial cases, the test grid (27) and the
+    // paper grid (891); the p values include the 2.5/97.5 tails that
+    // robustPerfRange reads.
+    const size_t sizes[] = {1, 2, 3, 27, 891};
+    const double ps[] = {0, 2, 2.5, 50, 97.5, 98, 100};
+    Rng rng(20150101);
+    for (const size_t n : sizes) {
+        for (int trial = 0; trial < 4; ++trial) {
+            // Even trials draw runtime-like values spanning decades;
+            // odd ones draw from five values, so ties are common.
+            std::vector<double> v(n);
+            for (double &e : v) {
+                e = trial % 2 == 0
+                        ? rng.logUniform(1e-6, 1.0)
+                        : 0.25 * static_cast<double>(
+                                     rng.uniformInt(1, 5));
+            }
+            const std::vector<double> before = v;
+            for (const double p : ps) {
+                EXPECT_EQ(percentile(v, p), sortedPercentile(v, p))
+                    << "n=" << n << " trial=" << trial << " p=" << p;
+            }
+            EXPECT_EQ(v, before) << "input span was modified";
+        }
+    }
 }
 
 TEST(PearsonTest, PerfectAndInverse)

@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
 #include "base/logging.hh"
+#include "base/string_util.hh"
 #include "gpu/analytic_model.hh"
 #include "harness/sweep.hh"
+#include "obs/metrics.hh"
 #include "workloads/archetypes.hh"
 
 namespace gpuscale {
@@ -140,6 +143,51 @@ TEST_F(ReportErrorTest, IncompleteGridIsFatal)
 TEST_F(ReportErrorTest, MissingColumnIsFatal)
 {
     EXPECT_THROW(readSurfacesCsv("a,b\n1,2\n"), std::runtime_error);
+}
+
+/** Replace field `col` of data row `row` (0 = first after the header). */
+std::string
+withField(const std::string &csv, size_t row, size_t col,
+          const std::string &value)
+{
+    std::vector<std::string> lines = split(csv, '\n');
+    std::vector<std::string> fields = split(lines.at(row + 1), ',');
+    fields.at(col) = value;
+    lines[row + 1] = join(fields, ",");
+    return join(lines, "\n");
+}
+
+TEST_F(ReportErrorTest, NonFiniteFieldSkipsTheRowAndDropsItsKernel)
+{
+    // Two kernels; one field of one of a's rows is corrupted.  Each
+    // case is one malformed number: the row is skipped and counted,
+    // a is dropped for its missing grid point, and b survives.
+    std::ostringstream os;
+    writeSurfaceCsv(os, sampleSurface("t/r/a"));
+    std::ostringstream os_b;
+    writeSurfaceCsv(os_b, sampleSurface("t/r/b"));
+    const std::string b_text = os_b.str();
+    os << b_text.substr(b_text.find('\n') + 1);
+    const std::string clean = os.str();
+
+    constexpr size_t kCus = 1, kRuntime = 4;
+    const struct {
+        size_t col;
+        const char *value;
+    } cases[] = {
+        {kRuntime, "nan"}, {kRuntime, "inf"}, {kRuntime, "-inf"},
+        {kCus, "nan"},     {kCus, "1e300"},   {kCus, "-3e9"},
+    };
+    obs::Counter &skipped =
+        obs::Registry::instance().counter("csv.rows.skipped");
+    for (const auto &c : cases) {
+        const uint64_t before = skipped.value();
+        const auto surfaces =
+            readSurfacesCsv(withField(clean, 3, c.col, c.value));
+        EXPECT_EQ(skipped.value(), before + 1) << c.value;
+        ASSERT_EQ(surfaces.size(), 1u) << c.value;
+        EXPECT_EQ(surfaces[0].kernelName(), "t/r/b") << c.value;
+    }
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "base/logging.hh"
@@ -128,10 +129,16 @@ TEST_F(SurfaceErrorTest, SizeMismatchIsFatal)
 TEST_F(SurfaceErrorTest, NonPositiveRuntimeIsFatal)
 {
     const ConfigSpace space = ConfigSpace::testGrid();
-    std::vector<double> runtimes(space.size(), 1.0);
-    runtimes[5] = 0.0;
-    EXPECT_THROW(ScalingSurface("k", space, std::move(runtimes)),
-                 std::runtime_error);
+    // NaN and +inf are rejected like 0; NaN would slip past a plain
+    // `<= 0` check.
+    for (const double bad : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+        std::vector<double> runtimes(space.size(), 1.0);
+        runtimes[5] = bad;
+        EXPECT_THROW(ScalingSurface("k", space, std::move(runtimes)),
+                     std::runtime_error)
+            << bad;
+    }
 }
 
 } // namespace
