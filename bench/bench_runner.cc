@@ -15,7 +15,7 @@
  * and emits BENCH_resilience.json; the journal's write overhead vs
  * the unjournaled run is the resilience perf gate (<= 5%).
  *
- * Also times the hot sweep with the sharded telemetry instruments
+ * Also times the hot sweep with every counter and histogram
  * quiesced vs recording and emits BENCH_telemetry.json; the recording
  * overhead is the instrumentation perf gate (<= 2%).
  *
@@ -68,7 +68,6 @@
 #include "harness/sweep_cache.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
-#include "obs/sharded.hh"
 #include "service/client.hh"
 #include "service/server.hh"
 #include "workloads/registry.hh"
@@ -324,7 +323,7 @@ run(const RunnerOptions &opts)
     w.key("metrics");
     w.beginObject();
     w.key("sweep.estimates.count").value(static_cast<uint64_t>(
-        registry.shardedCounter("sweep.estimates.count").value()));
+        registry.counter("sweep.estimates.count").value()));
     w.key("sweep.cache.hits").value(static_cast<uint64_t>(
         registry.counter("sweep.cache.hits").value()));
     w.key("sweep.cache.misses").value(static_cast<uint64_t>(
@@ -358,8 +357,8 @@ run(const RunnerOptions &opts)
     inform("wrote %s", opts.resilience_output.c_str());
 
     //
-    // 5. Telemetry gate: the same hot sweep with the sharded
-    //    instruments quiesced (inc()/record() return after one
+    // 5. Telemetry gate: the same hot sweep with every counter and
+    //    histogram quiesced (inc()/record() return after one
     //    relaxed load — the zero-cost baseline) vs fully recording.
     //    The recording overhead must stay <= 2%.
     //
@@ -395,7 +394,7 @@ run(const RunnerOptions &opts)
                 telemetry_overhead_pct);
 
     const auto shard_values =
-        registry.shardedCounter("sweep.estimates.count").shardValues();
+        registry.counter("sweep.estimates.count").shardValues();
     std::ofstream tos(opts.telemetry_output);
     fatal_if(!tos, "cannot write %s", opts.telemetry_output.c_str());
     obs::JsonWriter tw(tos);
@@ -554,7 +553,7 @@ run(const RunnerOptions &opts)
     sw.key("metrics");
     sw.beginObject();
     sw.key("sparse.samples.count").value(static_cast<uint64_t>(
-        registry.shardedCounter("sparse.samples.count").value()));
+        registry.counter("sparse.samples.count").value()));
     sw.endObject();
     sw.endObject();
     sos << '\n';

@@ -1,8 +1,8 @@
 /**
  * @file
  * Instrument-description rule: every instrument registered through
- * Registry::counter/gauge/histogram (and the sharded variants) must
- * carry a non-empty description.
+ * Registry::counter/gauge/histogram must carry a non-empty
+ * description.
  *
  * The description is what `gpuscale --metrics` tables, the Prometheus
  * exposition's "# HELP" lines, and docs/observability.md's metric-key
@@ -91,8 +91,7 @@ class DescriptionRule : public Rule
     {
         for (const auto &method :
              {std::string("counter"), std::string("gauge"),
-              std::string("histogram"), std::string("shardedCounter"),
-              std::string("shardedHistogram")})
+              std::string("histogram")})
         {
             for (size_t off : findTokens(file, method)) {
                 const std::string &code = file.code();

@@ -10,7 +10,7 @@
  *     reduction order is an implementation detail (and for reduce,
  *     deliberately unspecified), so two call sites can disagree in
  *     the last ulp.  Explicitly-ordered loops or the blessed helpers
- *     in base/stats are the sanctioned forms.
+ *     in base/math_util are the sanctioned forms.
  *  2. Range-for over an unordered container feeding arithmetic
  *     (`+=`, `<<`, serialization calls) — iteration order depends on
  *     the hash seed and load factor, so the sum (or the output file)
@@ -44,9 +44,7 @@ namespace {
 bool
 isBlessedHelperFile(const std::string &path)
 {
-    return path == "src/base/stats.cc" ||
-           path == "src/base/stats.hh" ||
-           path == "src/base/math_util.cc" ||
+    return path == "src/base/math_util.cc" ||
            path == "src/base/math_util.hh" ||
            path == "src/gpu/analytic_batch.hh" ||
            path == "src/gpu/config_grid.hh";
@@ -178,7 +176,7 @@ class FpDeterminismRule : public Rule
                            toks[i].text.c_str()),
                  report,
                  "write an explicitly-ordered loop, or use the "
-                 "blessed helpers in src/base/stats.hh");
+                 "blessed helpers in src/base/math_util.hh");
         }
     }
 

@@ -22,7 +22,6 @@
 #include "base/logging.hh"
 #include "base/string_util.hh"
 #include "obs/metrics.hh"
-#include "obs/sharded.hh"
 #include "cache_model.hh"
 #include "dispatch.hh"
 #include "gpu_config.hh"
@@ -369,8 +368,8 @@ KernelPerf
 AnalyticModel::estimate(const KernelDesc &kernel,
                         const GpuConfig &cfg) const
 {
-    static obs::ShardedCounter &evaluations =
-        obs::Registry::instance().shardedCounter(
+    static obs::Counter &evaluations =
+        obs::Registry::instance().counter(
             "model.analytic.estimates",
             "analytic-model evaluations");
     evaluations.inc();
@@ -457,12 +456,12 @@ std::vector<double>
 AnalyticModel::evaluateGridRuntimes(const KernelDesc &kernel,
                                     const ConfigGrid &grid) const
 {
-    static obs::ShardedCounter &evaluations =
-        obs::Registry::instance().shardedCounter(
+    static obs::Counter &evaluations =
+        obs::Registry::instance().counter(
             "model.analytic.estimates",
             "analytic-model evaluations");
-    static obs::ShardedCounter &batches =
-        obs::Registry::instance().shardedCounter(
+    static obs::Counter &batches =
+        obs::Registry::instance().counter(
             "model.analytic.grid.batches",
             "batched grid evaluations");
     evaluations.inc(grid.size());
@@ -478,12 +477,12 @@ std::vector<KernelPerf>
 AnalyticModel::evaluateGrid(const KernelDesc &kernel,
                             const ConfigGrid &grid) const
 {
-    static obs::ShardedCounter &evaluations =
-        obs::Registry::instance().shardedCounter(
+    static obs::Counter &evaluations =
+        obs::Registry::instance().counter(
             "model.analytic.estimates",
             "analytic-model evaluations");
-    static obs::ShardedCounter &batches =
-        obs::Registry::instance().shardedCounter(
+    static obs::Counter &batches =
+        obs::Registry::instance().counter(
             "model.analytic.grid.batches",
             "batched grid evaluations");
     evaluations.inc(grid.size());

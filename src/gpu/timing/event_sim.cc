@@ -75,7 +75,7 @@ EventModel::EventModel(EventSimParams params)
 KernelPerf
 EventModel::simulateParallelPhase(const KernelDesc &kernel,
                                   const GpuConfig &cfg,
-                                  stats::StatGroup *stats) const
+                                  EventSimStats *stats) const
 {
     KernelPerf perf;
     perf.occupancy = computeOccupancy(kernel, cfg);
@@ -315,33 +315,17 @@ EventModel::simulateParallelPhase(const KernelDesc &kernel,
     if (best < 0.60 * perf.kernel_time_s)
         perf.bound = BoundResource::Latency;
 
-    //
-    // Optional instrumentation dump, gem5-style.
-    //
     if (stats) {
-        stats->addScalar("waves_simulated", "wavefronts simulated")
-            .set(static_cast<double>(waves.size()));
-        stats->addScalar("workgroups_simulated",
-                         "workgroups dispatched")
-            .set(static_cast<double>(next_wg));
-        stats->addScalar("events", "event-loop iterations")
-            .set(static_cast<double>(events_processed));
-        stats->addScalar("extrapolation", "launch shrink factor")
-            .set(scale);
-        stats->addScalar("makespan_us", "simulated makespan")
-            .set(makespan * 1e6);
-        stats->addScalar("l2_bytes", "bytes served by the L2 pipe")
-            .set(l2_pipe.totalWork());
-        stats->addScalar("dram_bytes", "bytes served by DRAM")
-            .set(dram_pipe.totalWork());
-        stats->addScalar("atomic_ops", "atomic operations serviced")
-            .set(atomic_pipe.totalWork());
-        stats->addFormula("dram_utilization",
-                          "DRAM busy fraction of the makespan",
-                          [busy = dram_pipe.busyTime(), makespan] {
-                              return makespan > 0 ? busy / makespan
-                                                  : 0.0;
-                          });
+        stats->waves_simulated = static_cast<int64_t>(waves.size());
+        stats->workgroups_simulated = static_cast<int64_t>(next_wg);
+        stats->events = static_cast<int64_t>(events_processed);
+        stats->extrapolation = scale;
+        stats->makespan_us = makespan * 1e6;
+        stats->l2_bytes = l2_pipe.totalWork();
+        stats->dram_bytes = dram_pipe.totalWork();
+        stats->atomic_ops = atomic_pipe.totalWork();
+        stats->dram_utilization =
+            makespan > 0 ? dram_pipe.busyTime() / makespan : 0.0;
     }
 
     return perf;
@@ -355,14 +339,14 @@ EventModel::estimate(const KernelDesc &kernel, const GpuConfig &cfg) const
 
 KernelPerf
 EventModel::estimate(const KernelDesc &kernel, const GpuConfig &cfg,
-                     stats::StatGroup &stats) const
+                     EventSimStats &stats) const
 {
     return estimateImpl(kernel, cfg, &stats);
 }
 
 KernelPerf
 EventModel::estimateImpl(const KernelDesc &kernel, const GpuConfig &cfg,
-                         stats::StatGroup *stats) const
+                         EventSimStats *stats) const
 {
     static obs::Counter &evaluations =
         obs::Registry::instance().counter(

@@ -176,11 +176,11 @@ CensusJournal::load(const std::string &header)
     CheckpointMetrics &metrics = CheckpointMetrics::get();
     std::string line;
     while (std::getline(is, line)) {
-        // Metadata line "<crc32 hex8> <kernel>|<count>:<chk64
-        // hex16>".  Its CRC also guards the body framing, so a
-        // mangled line means the record boundaries after it cannot
-        // be trusted: stop replaying and let the rest re-run.  (The
-        // torn final line of a killed run lands here too.)
+        // Metadata line "<crc32 hex8> <key>|<count>:<chk64 hex16>".
+        // Its CRC also guards the body framing, so a mangled line
+        // means the record boundaries after it cannot be trusted:
+        // stop replaying and let the rest re-run.  (The torn final
+        // line of a killed run lands here too.)
         bool framed = line.size() > 9 && line[8] == ' ';
         uint32_t stored_crc = 0;
         if (framed) {
@@ -193,16 +193,17 @@ CensusJournal::load(const std::string &header)
         if (framed)
             framed = crc32(meta) == stored_crc;
 
-        std::string kernel;
+        std::string key;
         size_t count = 0;
         uint64_t stored_chk = 0;
         if (framed) {
-            const size_t bar = meta.find('|');
+            // Keys contain '|'; the count follows the last one.
+            const size_t bar = meta.rfind('|');
             const size_t colon = meta.rfind(':');
             framed = bar != std::string::npos &&
                      colon != std::string::npos && colon > bar;
             if (framed) {
-                kernel = meta.substr(0, bar);
+                key = meta.substr(0, bar);
                 const char *b = meta.data();
                 auto res = std::from_chars(b + bar + 1, b + colon,
                                            count, 10);
@@ -242,7 +243,7 @@ CensusJournal::load(const std::string &header)
             metrics.corrupt.inc();
             warn("checkpoint: torn journal record for %s; replay "
                  "stops here",
-                 kernel.c_str());
+                 key.c_str());
             obs::noteDegradation("checkpoint.record");
             break;
         }
@@ -250,13 +251,13 @@ CensusJournal::load(const std::string &header)
             metrics.corrupt.inc();
             warn("checkpoint: body checksum mismatch for %s; "
                  "record skipped",
-                 kernel.c_str());
+                 key.c_str());
             obs::noteDegradation("checkpoint.record");
             continue;
         }
         std::vector<double> runtimes(count);
         std::memcpy(runtimes.data(), body.data(), body.size());
-        loaded_[kernel] = std::move(runtimes);
+        loaded_[key] = std::move(runtimes);
     }
 }
 
@@ -294,10 +295,10 @@ CensusJournal::writeHeader(const std::string &header)
 }
 
 bool
-CensusJournal::lookup(const std::string &kernel,
+CensusJournal::lookup(const std::string &key,
                       std::vector<double> &runtimes) const
 {
-    const auto it = loaded_.find(kernel);
+    const auto it = loaded_.find(key);
     if (it == loaded_.end())
         return false;
     runtimes = it->second;
@@ -306,7 +307,7 @@ CensusJournal::lookup(const std::string &kernel,
 }
 
 void
-CensusJournal::record(const std::string &kernel,
+CensusJournal::record(const std::string &key,
                       const std::vector<double> &runtimes)
 {
     if (fd_ < 0)
@@ -318,7 +319,7 @@ CensusJournal::record(const std::string &kernel,
     char chk_hex[24];
     std::snprintf(chk_hex, sizeof(chk_hex), "%016llx",
                   static_cast<unsigned long long>(chk64(body)));
-    std::string meta = kernel;
+    std::string meta = key;
     meta += '|';
     meta += std::to_string(runtimes.size());
     meta += ':';
@@ -330,7 +331,7 @@ CensusJournal::record(const std::string &kernel,
         // Dropping a record only costs a re-run of this kernel on
         // the next resume; stopping the census would cost the run.
         warn("checkpoint: failed to append record for %s",
-             kernel.c_str());
+             key.c_str());
         obs::noteDegradation("checkpoint.append");
         return;
     }

@@ -15,9 +15,14 @@
  *     gpuscale-census-journal-v1
  *     model=<model fingerprint>
  *     grid=<grid fingerprint>
- *     <crc32 hex8> <kernel name>|<count>:<chk64 hex16>
+ *     <crc32 hex8> <key>|<count>:<chk64 hex16>
  *     <count * 8 bytes of native doubles>
  *     ...
+ *
+ * The key is the kernel's SweepCache::keyFor string, which folds in
+ * every descriptor field: a kernel that changed under the same name
+ * misses and re-runs instead of replaying stale runtimes.  Keys
+ * contain '|', so the metadata is split on its last one.
  *
  * The body stays binary because a paper-grid census journals ~240k
  * doubles: text-formatting them costs more than the sweep being
@@ -97,18 +102,18 @@ class CensusJournal
     bool active() const { return fd_ >= 0; }
 
     /**
-     * Serve one kernel from the replayed journal.  A hit advances
-     * checkpoint.replayed.
+     * Serve one kernel, by its key, from the replayed journal.  A hit
+     * advances checkpoint.replayed.
      */
-    bool lookup(const std::string &kernel,
+    bool lookup(const std::string &key,
                 std::vector<double> &runtimes) const;
 
     /**
-     * Append one completed kernel.  Thread-safe; a failed append
-     * degrades (the kernel is simply re-run on the next resume) and
-     * is counted, never fatal.
+     * Append one completed kernel under its key.  Thread-safe; a
+     * failed append degrades (the kernel is simply re-run on the next
+     * resume) and is counted, never fatal.
      */
-    void record(const std::string &kernel,
+    void record(const std::string &key,
                 const std::vector<double> &runtimes);
 
     /** Records replayed from disk at construction time. */

@@ -13,7 +13,6 @@
 #include "base/logging.hh"
 #include "gpu/kernel_desc.hh"
 #include "obs/metrics.hh"
-#include "obs/sharded.hh"
 #include "obs/trace.hh"
 #include "parallel.hh"
 #include "sweep_cache.hh"
@@ -25,25 +24,25 @@ namespace harness {
 namespace {
 
 /**
- * Sharded instruments for the sparse hot loop: pool workers update
- * per-kernel, so each gets its own cache line (obs/sharded.hh).
+ * Cached instrument references for the sparse hot loop; pool workers
+ * update them per kernel.
  */
 struct SparseMetrics {
-    obs::ShardedCounter &samples;
-    obs::ShardedHistogram &fit_latency;
-    obs::ShardedHistogram &agreement;
+    obs::Counter &samples;
+    obs::Histogram &fit_latency;
+    obs::Histogram &agreement;
 
     static SparseMetrics &
     get()
     {
         static SparseMetrics m{
-            obs::Registry::instance().shardedCounter(
+            obs::Registry::instance().counter(
                 "sparse.samples.count",
                 "configurations measured by the sparse census"),
-            obs::Registry::instance().shardedHistogram(
+            obs::Registry::instance().histogram(
                 "sparse.fit.latency",
                 "seconds per sparse surface reconstruction"),
-            obs::Registry::instance().shardedHistogram(
+            obs::Registry::instance().histogram(
                 "sparse.agreement",
                 "per-kernel ensemble classification agreement"),
         };

@@ -23,7 +23,6 @@
 #include "gpu/kernel_desc.hh"
 #include "obs/metrics.hh"
 #include "obs/progress.hh"
-#include "obs/sharded.hh"
 #include "obs/trace.hh"
 #include "parallel.hh"
 #include "sweep_cache.hh"
@@ -34,34 +33,33 @@ namespace harness {
 namespace {
 
 /**
- * Cached instrument references for the estimate hot loop.  The
- * instruments every worker updates per kernel or per estimate are
- * sharded (obs/sharded.hh) so pool workers never contend on a shared
- * cache line; the once-per-call shard-count gauge stays plain.
+ * Cached instrument references for the estimate hot loop.  Counters
+ * and histograms are striped per thread (obs/metrics.hh), so pool
+ * workers never contend on a shared cache line.
  */
 struct SweepMetrics {
-    obs::ShardedCounter &estimates;
-    obs::ShardedCounter &kernels;
-    obs::ShardedHistogram &latency;
+    obs::Counter &estimates;
+    obs::Counter &kernels;
+    obs::Histogram &latency;
     obs::Gauge &shards;
-    obs::ShardedHistogram &shard_latency;
+    obs::Histogram &shard_latency;
 
     static SweepMetrics &
     get()
     {
         static SweepMetrics m{
-            obs::Registry::instance().shardedCounter(
+            obs::Registry::instance().counter(
                 "sweep.estimates.count",
                 "model estimates issued by the sweep harness"),
-            obs::Registry::instance().shardedCounter(
+            obs::Registry::instance().counter(
                 "sweep.kernels.count", "kernels swept"),
-            obs::Registry::instance().shardedHistogram(
+            obs::Registry::instance().histogram(
                 "sweep.estimate.latency",
                 "seconds per model estimate"),
             obs::Registry::instance().gauge(
                 "census.shard.count",
                 "kernel shards in the last sweepKernels call"),
-            obs::Registry::instance().shardedHistogram(
+            obs::Registry::instance().histogram(
                 "census.shard.latency",
                 "seconds per kernel shard"),
         };
@@ -70,18 +68,16 @@ struct SweepMetrics {
 };
 
 /**
- * Sweep one kernel over the whole grid: build its cache key, one
- * cache probe, then one batched model evaluation on a miss.  Under
- * sweepKernels it runs in a shard, so key building is spread over the
- * pool and a journal-replayed kernel never builds a key.  The
- * per-estimate latency histogram is fed the batch's amortized
- * per-point cost, and sweep.estimates.count advances only for
- * estimates actually computed (cache hits are free and are counted by
- * sweep.cache.hits).
+ * Sweep one kernel over the whole grid: one cache probe under its
+ * SweepCache::keyFor key, then one batched model evaluation on a
+ * miss.  The per-estimate latency histogram is fed the batch's
+ * amortized per-point cost, and sweep.estimates.count advances only
+ * for estimates actually computed (cache hits are free and are
+ * counted by sweep.cache.hits).
  */
 std::vector<double>
 sweepOne(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
-         const gpu::ConfigGrid &grid)
+         const gpu::ConfigGrid &grid, const std::string &key)
 {
     SweepMetrics &metrics = SweepMetrics::get();
     GPUSCALE_TRACE_SCOPE("sweep/" + kernel.name);
@@ -91,7 +87,6 @@ sweepOne(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
     // models a crashing worker.
     faultPoint("sweep.kernel");
 
-    const std::string key = SweepCache::keyFor(model, kernel, grid);
     std::vector<double> runtimes;
     if (SweepCache::instance().lookup(key, runtimes)) {
         debuglog("swept %s: %zu configs (cached)", kernel.name.c_str(),
@@ -121,8 +116,10 @@ sweepKernel(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
             const scaling::ConfigSpace &space)
 {
     const gpu::ConfigGrid grid = space.grid();
-    return scaling::ScalingSurface(kernel.name, space,
-                                   sweepOne(model, kernel, grid));
+    return scaling::ScalingSurface(
+        kernel.name, space,
+        sweepOne(model, kernel, grid,
+                 SweepCache::keyFor(model, kernel, grid)));
 }
 
 std::vector<scaling::ScalingSurface>
@@ -158,17 +155,21 @@ sweepKernels(const gpu::PerfModel &model,
         const size_t begin = shard * n / num_shards;
         const size_t end = (shard + 1) * n / num_shards;
         for (size_t k = begin; k < end; ++k) {
+            // One identity for the journal and the cache, built in
+            // the shard: a kernel that changed under the same name
+            // misses both.
+            const std::string key =
+                SweepCache::keyFor(model, *kernels[k], grid);
             // Journal first: a replayed kernel skips the sweep (and
             // the cache) entirely, and is not re-recorded.
-            if (journal != nullptr &&
-                journal->lookup(kernels[k]->name, runtimes[k])) {
+            if (journal != nullptr && journal->lookup(key, runtimes[k])) {
                 if (progress != nullptr)
                     progress->tick();
                 continue;
             }
-            runtimes[k] = sweepOne(model, *kernels[k], grid);
+            runtimes[k] = sweepOne(model, *kernels[k], grid, key);
             if (journal != nullptr)
-                journal->record(kernels[k]->name, runtimes[k]);
+                journal->record(key, runtimes[k]);
             if (progress != nullptr)
                 progress->tick();
         }

@@ -47,6 +47,8 @@ scaling::ScalingSurface sweepKernel(const gpu::PerfModel &model,
  * With a journal (checkpoint.hh), kernels already recorded are
  * replayed bitwise instead of re-swept, and every freshly computed
  * kernel is appended — a killed run resumes where it stopped.
+ * Records are keyed by SweepCache::keyFor, so a kernel whose
+ * descriptor changed under the same name is swept again.
  *
  * @param kernels non-owning kernel pointers; all non-null.
  * @param progress optional reporter ticked once per finished kernel.

@@ -9,7 +9,7 @@
 
 #include "base/fault.hh"
 #include "base/logging.hh"
-#include "obs/sharded.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
 
 namespace gpuscale {
@@ -53,9 +53,9 @@ ThreadPool::ensure(unsigned workers)
     std::lock_guard<std::mutex> lock(mu_);
     while (workers_.size() < workers) {
         // The spawn ordinal doubles as the worker's telemetry-shard
-        // hint: workers spread deterministically across the sharded
-        // instruments' stripes instead of being dealt shards by
-        // first-touch order.
+        // hint: workers spread deterministically across the
+        // counters' and histograms' stripes instead of being dealt
+        // shards by first-touch order.
         const auto ordinal =
             static_cast<unsigned>(workers_.size());
         workers_.emplace_back([this, ordinal]() {

@@ -5,27 +5,55 @@
 
 #include "metrics.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <thread>
 
 #include "base/logging.hh"
 #include "base/string_util.hh"
 #include "json.hh"
-#include "sharded.hh"
 
 namespace gpuscale {
 namespace obs {
 
-void
-Gauge::add(double delta)
+namespace {
+
+/** Round up to the next power of two (shard masks stay cheap). */
+unsigned
+nextPow2(unsigned v)
 {
-    detail::atomicAdd(value_, delta);
+    unsigned p = 1;
+    while (p < v)
+        p <<= 1;
+    return p;
 }
 
-namespace detail {
+unsigned
+computeShardCount()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    const unsigned want = nextPow2(hw == 0 ? 4 : hw);
+    return std::min(64u, std::max(4u, want));
+}
 
-namespace {
+/** Deals shard indices to threads that never set a hint. */
+std::atomic<unsigned> shard_dealer{0};
+
+/** This thread's home shard; kUnassigned until first use or hint. */
+constexpr unsigned kUnassigned = ~0u;
+thread_local unsigned t_home_shard = kUnassigned;
+
+/** Relaxed CAS accumulate for atomic doubles (sums across threads). */
+void
+atomicAdd(std::atomic<double> &slot, double delta)
+{
+    double cur = slot.load(std::memory_order_relaxed);
+    while (!slot.compare_exchange_weak(cur, cur + delta,
+                                       std::memory_order_relaxed)) {
+    }
+}
 
 /** CAS-update an atomic double with a monotone min/max combiner. */
 template <typename Cmp>
@@ -43,33 +71,177 @@ atomicExtreme(std::atomic<double> &slot, double v, Cmp better)
 
 } // namespace
 
-void
-atomicAdd(std::atomic<double> &slot, double delta)
+unsigned
+shardCount()
 {
-    double cur = slot.load(std::memory_order_relaxed);
-    while (!slot.compare_exchange_weak(cur, cur + delta,
-                                       std::memory_order_relaxed)) {
+    static const unsigned count = computeShardCount();
+    return count;
+}
+
+unsigned
+currentShard()
+{
+    if (t_home_shard == kUnassigned) {
+        t_home_shard = shard_dealer.fetch_add(
+                           1, std::memory_order_relaxed) %
+                       shardCount();
     }
+    return t_home_shard;
 }
 
 void
-atomicMin(std::atomic<double> &slot, double v)
+setThreadShardHint(unsigned hint)
 {
-    atomicExtreme(slot, v, [](double a, double b) { return a < b; });
+    t_home_shard = hint % shardCount();
+}
+
+Counter::Counter()
+    : shards_(std::make_unique<Shard[]>(shardCount()))
+{
 }
 
 void
-atomicMax(std::atomic<double> &slot, double v)
+Counter::inc(uint64_t n)
 {
-    atomicExtreme(slot, v, [](double a, double b) { return a > b; });
+    if (Registry::quiesced())
+        return;
+    shards_[currentShard()].value.fetch_add(n,
+                                            std::memory_order_relaxed);
+}
+
+uint64_t
+Counter::value() const
+{
+    uint64_t total = 0;
+    for (unsigned s = 0; s < shardCount(); ++s)
+        total += shards_[s].value.load(std::memory_order_relaxed);
+    return total;
+}
+
+std::vector<uint64_t>
+Counter::shardValues() const
+{
+    std::vector<uint64_t> out(shardCount());
+    for (unsigned s = 0; s < shardCount(); ++s)
+        out[s] = shards_[s].value.load(std::memory_order_relaxed);
+    return out;
+}
+
+void
+Counter::reset()
+{
+    for (unsigned s = 0; s < shardCount(); ++s)
+        shards_[s].value.store(0, std::memory_order_relaxed);
+}
+
+void
+Gauge::add(double delta)
+{
+    atomicAdd(value_, delta);
+}
+
+Histogram::Histogram()
+    : shards_(std::make_unique<Shard[]>(shardCount()))
+{
+    reset();
+}
+
+size_t
+Histogram::bucketIndex(double v)
+{
+    if (!(v >= kLo)) // NaN, negatives, and tiny values: underflow bin.
+        return 0;
+    if (v >= kHi)
+        return kNumBuckets - 1;
+    const double decades = std::log10(v / kLo);
+    const auto idx = static_cast<size_t>(decades * kBucketsPerDecade);
+    return 1 + std::min(idx, kDecades * kBucketsPerDecade - 1);
+}
+
+void
+Histogram::record(double v)
+{
+    if (Registry::quiesced())
+        return;
+    Shard &shard = shards_[currentShard()];
+    shard.buckets[bucketIndex(v)].fetch_add(1,
+                                            std::memory_order_relaxed);
+    shard.count.fetch_add(1, std::memory_order_relaxed);
+    atomicAdd(shard.sum, v);
+    atomicExtreme(shard.min, v, [](double a, double b) { return a < b; });
+    atomicExtreme(shard.max, v, [](double a, double b) { return a > b; });
+}
+
+uint64_t
+Histogram::count() const
+{
+    uint64_t total = 0;
+    for (unsigned s = 0; s < shardCount(); ++s)
+        total += shards_[s].count.load(std::memory_order_relaxed);
+    return total;
 }
 
 double
-percentileFromBuckets(
-    const std::array<uint64_t, Histogram::kNumBuckets> &snap, double p,
-    double min_sample, double max_sample)
+Histogram::sum() const
 {
-    constexpr size_t kNumBuckets = Histogram::kNumBuckets;
+    double total = 0.0;
+    for (unsigned s = 0; s < shardCount(); ++s)
+        total += shards_[s].sum.load(std::memory_order_relaxed);
+    return total;
+}
+
+double
+Histogram::mean() const
+{
+    const uint64_t n = count();
+    return n == 0 ? 0.0 : sum() / static_cast<double>(n);
+}
+
+std::vector<uint64_t>
+Histogram::shardCounts() const
+{
+    std::vector<uint64_t> out(shardCount());
+    for (unsigned s = 0; s < shardCount(); ++s)
+        out[s] = shards_[s].count.load(std::memory_order_relaxed);
+    return out;
+}
+
+double
+Histogram::minSample() const
+{
+    // +infinity is the untouched seed of every shard, i.e. no samples
+    // yet; report that as NaN so an empty histogram is never mistaken
+    // for one that recorded 0.0 (JSON serializes the NaN as null).
+    double best = std::numeric_limits<double>::infinity();
+    for (unsigned s = 0; s < shardCount(); ++s)
+        best = std::min(best,
+                        shards_[s].min.load(std::memory_order_relaxed));
+    return std::isinf(best)
+               ? std::numeric_limits<double>::quiet_NaN()
+               : best;
+}
+
+double
+Histogram::maxSample() const
+{
+    double best = -std::numeric_limits<double>::infinity();
+    for (unsigned s = 0; s < shardCount(); ++s)
+        best = std::max(best,
+                        shards_[s].max.load(std::memory_order_relaxed));
+    return std::isinf(best)
+               ? std::numeric_limits<double>::quiet_NaN()
+               : best;
+}
+
+double
+Histogram::percentile(double p) const
+{
+    std::array<uint64_t, kNumBuckets> snap{};
+    for (unsigned s = 0; s < shardCount(); ++s) {
+        for (size_t i = 0; i < kNumBuckets; ++i)
+            snap[i] += shards_[s].buckets[i].load(
+                std::memory_order_relaxed);
+    }
     uint64_t total = 0;
     for (size_t i = 0; i < kNumBuckets; ++i)
         total += snap[i];
@@ -93,122 +265,43 @@ percentileFromBuckets(
 
     double rep;
     if (bucket == 0) {
-        rep = Histogram::kLo;
+        rep = kLo;
     } else if (bucket == kNumBuckets - 1) {
-        rep = Histogram::kHi;
+        rep = kHi;
     } else {
         const double lo_edge =
-            Histogram::kLo *
-            std::pow(10.0, static_cast<double>(bucket - 1) /
-                               Histogram::kBucketsPerDecade);
+            kLo * std::pow(10.0, static_cast<double>(bucket - 1) /
+                                     kBucketsPerDecade);
         const double hi_edge =
-            Histogram::kLo *
-            std::pow(10.0, static_cast<double>(bucket) /
-                               Histogram::kBucketsPerDecade);
+            kLo * std::pow(10.0, static_cast<double>(bucket) /
+                                     kBucketsPerDecade);
         rep = std::sqrt(lo_edge * hi_edge);
     }
     // Clamp to the observed range so tiny sample counts do not report
     // values outside what was actually recorded.  A concurrent
     // recorder may have bumped a bucket before publishing min/max
     // (still NaN); skip the clamp rather than poison the result.
+    const double min_sample = minSample();
+    const double max_sample = maxSample();
     if (std::isnan(min_sample) || std::isnan(max_sample))
         return rep;
     return std::min(max_sample, std::max(min_sample, rep));
 }
 
-} // namespace detail
-
-Histogram::Histogram()
-{
-    for (auto &b : buckets_)
-        b.store(0, std::memory_order_relaxed);
-    min_.store(std::numeric_limits<double>::infinity(),
-               std::memory_order_relaxed);
-    max_.store(-std::numeric_limits<double>::infinity(),
-               std::memory_order_relaxed);
-}
-
-size_t
-Histogram::bucketIndex(double v)
-{
-    if (!(v >= kLo)) // NaN, negatives, and tiny values: underflow bin.
-        return 0;
-    if (v >= kHi)
-        return kNumBuckets - 1;
-    const double decades = std::log10(v / kLo);
-    const auto idx = static_cast<size_t>(decades * kBucketsPerDecade);
-    return 1 + std::min(idx, kDecades * kBucketsPerDecade - 1);
-}
-
-void
-Histogram::record(double v)
-{
-    buckets_[bucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    detail::atomicAdd(sum_, v);
-    detail::atomicMin(min_, v);
-    detail::atomicMax(max_, v);
-}
-
-uint64_t
-Histogram::count() const
-{
-    return count_.load(std::memory_order_relaxed);
-}
-
-double
-Histogram::sum() const
-{
-    return sum_.load(std::memory_order_relaxed);
-}
-
-double
-Histogram::mean() const
-{
-    const uint64_t n = count();
-    return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-}
-
-double
-Histogram::minSample() const
-{
-    // +infinity is the untouched seed, i.e. no samples yet; report
-    // that as NaN so an empty histogram is never mistaken for one
-    // that recorded 0.0 (JSON serializes the NaN as null).
-    const double v = min_.load(std::memory_order_relaxed);
-    return std::isinf(v) ? std::numeric_limits<double>::quiet_NaN()
-                         : v;
-}
-
-double
-Histogram::maxSample() const
-{
-    const double v = max_.load(std::memory_order_relaxed);
-    return std::isinf(v) ? std::numeric_limits<double>::quiet_NaN()
-                         : v;
-}
-
-double
-Histogram::percentile(double p) const
-{
-    std::array<uint64_t, kNumBuckets> snap;
-    for (size_t i = 0; i < kNumBuckets; ++i)
-        snap[i] = buckets_[i].load(std::memory_order_relaxed);
-    return detail::percentileFromBuckets(snap, p, minSample(),
-                                         maxSample());
-}
-
 void
 Histogram::reset()
 {
-    for (auto &b : buckets_)
-        b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0.0, std::memory_order_relaxed);
-    min_.store(std::numeric_limits<double>::infinity(),
-               std::memory_order_relaxed);
-    max_.store(-std::numeric_limits<double>::infinity(),
-               std::memory_order_relaxed);
+    for (unsigned s = 0; s < shardCount(); ++s) {
+        Shard &shard = shards_[s];
+        for (auto &b : shard.buckets)
+            b.store(0, std::memory_order_relaxed);
+        shard.count.store(0, std::memory_order_relaxed);
+        shard.sum.store(0.0, std::memory_order_relaxed);
+        shard.min.store(std::numeric_limits<double>::infinity(),
+                        std::memory_order_relaxed);
+        shard.max.store(-std::numeric_limits<double>::infinity(),
+                        std::memory_order_relaxed);
+    }
 }
 
 Registry &
@@ -228,8 +321,6 @@ Counter &
 Registry::counter(const std::string &name, const std::string &desc)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    panic_if(sharded_counters_.count(name) != 0,
-             "metric '%s' is already a sharded counter", name.c_str());
     auto &entry = counters_[name];
     if (!entry.instrument) {
         entry.desc = desc;
@@ -254,9 +345,6 @@ Histogram &
 Registry::histogram(const std::string &name, const std::string &desc)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    panic_if(sharded_histograms_.count(name) != 0,
-             "metric '%s' is already a sharded histogram",
-             name.c_str());
     auto &entry = histograms_[name];
     if (!entry.instrument) {
         entry.desc = desc;
@@ -265,64 +353,12 @@ Registry::histogram(const std::string &name, const std::string &desc)
     return *entry.instrument;
 }
 
-ShardedCounter &
-Registry::shardedCounter(const std::string &name,
-                         const std::string &desc)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    panic_if(counters_.count(name) != 0,
-             "metric '%s' is already a plain counter", name.c_str());
-    auto &entry = sharded_counters_[name];
-    if (!entry.instrument) {
-        entry.desc = desc;
-        entry.instrument = std::make_unique<ShardedCounter>();
-    }
-    return *entry.instrument;
-}
-
-ShardedHistogram &
-Registry::shardedHistogram(const std::string &name,
-                           const std::string &desc)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    panic_if(histograms_.count(name) != 0,
-             "metric '%s' is already a plain histogram", name.c_str());
-    auto &entry = sharded_histograms_[name];
-    if (!entry.instrument) {
-        entry.desc = desc;
-        entry.instrument = std::make_unique<ShardedHistogram>();
-    }
-    return *entry.instrument;
-}
-
 bool
 Registry::empty() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return counters_.empty() && gauges_.empty() &&
-           histograms_.empty() && sharded_counters_.empty() &&
-           sharded_histograms_.empty();
+    return counters_.empty() && gauges_.empty() && histograms_.empty();
 }
-
-namespace {
-
-/** Histogram-like stats block shared by plain and sharded kinds. */
-template <typename H>
-void
-writeHistogramStats(JsonWriter &w, const H &h)
-{
-    w.beginObject();
-    w.key("count").value(h.count());
-    w.key("mean").value(h.mean());
-    w.key("min").value(h.minSample());
-    w.key("max").value(h.maxSample());
-    w.key("p50").value(h.percentile(50));
-    w.key("p90").value(h.percentile(90));
-    w.key("p99").value(h.percentile(99));
-    w.endObject();
-}
-
-} // namespace
 
 void
 Registry::writeJson(JsonWriter &w) const
@@ -330,14 +366,8 @@ Registry::writeJson(JsonWriter &w) const
     std::lock_guard<std::mutex> lock(mu_);
     w.beginObject();
 
-    // Sharded instruments snapshot as their merged totals under the
-    // same "counters"/"histograms" groups: consumers see one value
-    // space, and sharding stays an implementation detail of the hot
-    // path.  Cross-kind name collisions are rejected at registration.
     w.key("counters").beginObject();
     for (const auto &[name, entry] : counters_)
-        w.key(name).value(entry.instrument->value());
-    for (const auto &[name, entry] : sharded_counters_)
         w.key(name).value(entry.instrument->value());
     w.endObject();
 
@@ -348,31 +378,34 @@ Registry::writeJson(JsonWriter &w) const
 
     w.key("histograms").beginObject();
     for (const auto &[name, entry] : histograms_) {
-        w.key(name);
-        writeHistogramStats(w, *entry.instrument);
-    }
-    for (const auto &[name, entry] : sharded_histograms_) {
-        w.key(name);
-        writeHistogramStats(w, *entry.instrument);
+        const Histogram &h = *entry.instrument;
+        w.key(name).beginObject();
+        w.key("count").value(h.count());
+        w.key("mean").value(h.mean());
+        w.key("min").value(h.minSample());
+        w.key("max").value(h.maxSample());
+        w.key("p50").value(h.percentile(50));
+        w.key("p90").value(h.percentile(90));
+        w.key("p99").value(h.percentile(99));
+        w.endObject();
     }
     w.endObject();
 
-    // Per-shard breakdowns of the sharded instruments (event counts
-    // per stripe), so balance across worker threads can be audited
-    // from a snapshot file (`gpuscale-stat balance`).
+    // Per-shard breakdowns (event counts per stripe), so balance
+    // across worker threads can be audited from a snapshot file
+    // (`gpuscale-stat balance`).
     w.key("shards").beginObject();
-    for (const auto &[name, entry] : sharded_counters_) {
+    const auto writeShards = [&w](const std::string &name,
+                                  const std::vector<uint64_t> &values) {
         w.key(name).beginArray();
-        for (const uint64_t v : entry.instrument->shardValues())
+        for (const uint64_t v : values)
             w.value(v);
         w.endArray();
-    }
-    for (const auto &[name, entry] : sharded_histograms_) {
-        w.key(name).beginArray();
-        for (const uint64_t v : entry.instrument->shardCounts())
-            w.value(v);
-        w.endArray();
-    }
+    };
+    for (const auto &[name, entry] : counters_)
+        writeShards(name, entry.instrument->shardValues());
+    for (const auto &[name, entry] : histograms_)
+        writeShards(name, entry.instrument->shardCounts());
     w.endObject();
 
     w.endObject();
@@ -408,11 +441,10 @@ expositionHeader(std::ostream &os, const std::string &name,
     os << "# TYPE " << name << ' ' << type << '\n';
 }
 
-/** Summary block (quantiles, _sum, _count) for either histogram. */
-template <typename H>
+/** Summary block (quantiles, _sum, _count) for one histogram. */
 void
 expositionSummary(std::ostream &os, const std::string &name,
-                  const std::string &desc, const H &h)
+                  const std::string &desc, const Histogram &h)
 {
     expositionHeader(os, name, desc, "summary");
     if (!h.empty()) {
@@ -440,11 +472,6 @@ Registry::writeExposition(std::ostream &os) const
         expositionHeader(os, ename, entry.desc, "counter");
         os << ename << ' ' << entry.instrument->value() << '\n';
     }
-    for (const auto &[name, entry] : sharded_counters_) {
-        const std::string ename = expositionName(name);
-        expositionHeader(os, ename, entry.desc, "counter");
-        os << ename << ' ' << entry.instrument->value() << '\n';
-    }
     for (const auto &[name, entry] : gauges_) {
         const std::string ename = expositionName(name);
         expositionHeader(os, ename, entry.desc, "gauge");
@@ -452,10 +479,6 @@ Registry::writeExposition(std::ostream &os) const
            << formatDoubleShortest(entry.instrument->value()) << '\n';
     }
     for (const auto &[name, entry] : histograms_) {
-        expositionSummary(os, expositionName(name), entry.desc,
-                          *entry.instrument);
-    }
-    for (const auto &[name, entry] : sharded_histograms_) {
         expositionSummary(os, expositionName(name), entry.desc,
                           *entry.instrument);
     }
@@ -471,16 +494,7 @@ Registry::snapshotTable() const
     t.addColumn("value", TextTable::Align::Right);
     t.addColumn("description");
 
-    // Sharded instruments list under the same kind labels as their
-    // plain siblings; the table shows merged totals (see writeJson).
     for (const auto &[name, entry] : counters_) {
-        t.beginRow();
-        t.cell(name);
-        t.cell("counter");
-        t.cell(static_cast<int64_t>(entry.instrument->value()));
-        t.cell(entry.desc);
-    }
-    for (const auto &[name, entry] : sharded_counters_) {
         t.beginRow();
         t.cell(name);
         t.cell("counter");
@@ -494,9 +508,8 @@ Registry::snapshotTable() const
         t.cell(entry.instrument->value());
         t.cell(entry.desc);
     }
-    const auto histogramRow = [&t](const std::string &name,
-                                   const auto &h,
-                                   const std::string &desc) {
+    for (const auto &[name, entry] : histograms_) {
+        const Histogram &h = *entry.instrument;
         t.beginRow();
         t.cell(name);
         t.cell("histogram");
@@ -509,12 +522,8 @@ Registry::snapshotTable() const
                                              3).c_str(),
                          formatDoubleGeneral(h.percentile(99),
                                              3).c_str()));
-        t.cell(desc);
-    };
-    for (const auto &[name, entry] : histograms_)
-        histogramRow(name, *entry.instrument, entry.desc);
-    for (const auto &[name, entry] : sharded_histograms_)
-        histogramRow(name, *entry.instrument, entry.desc);
+        t.cell(entry.desc);
+    }
     return t;
 }
 
@@ -527,10 +536,6 @@ Registry::resetAll()
     for (auto &[name, entry] : gauges_)
         entry.instrument->reset();
     for (auto &[name, entry] : histograms_)
-        entry.instrument->reset();
-    for (auto &[name, entry] : sharded_counters_)
-        entry.instrument->reset();
-    for (auto &[name, entry] : sharded_histograms_)
         entry.instrument->reset();
 }
 

@@ -2,17 +2,28 @@
  * @file
  * Process-wide run-telemetry metrics registry.
  *
- * Distinct from base/stats (per-simulation, gem5-style, single-
- * threaded): obs metrics instrument the *toolkit itself* — how many
- * model estimates a sweep issued, how long each took, how balanced
- * the parallelFor workers were — and are safe to update from many
+ * obs metrics instrument the *toolkit itself* — how many model
+ * estimates a sweep issued, how long each took, how balanced the
+ * parallelFor workers were — and are safe to update from many
  * threads at once.
  *
  * Three instrument kinds:
- *  - Counter:   monotonically increasing uint64 (relaxed atomic).
+ *  - Counter:   monotonically increasing uint64.
  *  - Gauge:     last-written double (atomic store).
- *  - Histogram: log-scale latency histogram with lock-free bucket
- *               updates and percentile extraction.
+ *  - Histogram: log-scale latency histogram with percentile
+ *               extraction.
+ *
+ * Counters and histograms are striped.  One shared cache line that
+ * every recording thread RMWs would ping-pong between cores on the
+ * batched census path (267 kernels x 891 configs fanned across the
+ * worker pool) and show up in the profile it was supposed to
+ * observe.  So their state is split across cacheline-padded shards:
+ * each thread picks a home shard once (pool workers are pinned to
+ * their spawn ordinal via setThreadShardHint(); other threads are
+ * dealt shards round-robin) and every inc()/record() touches only
+ * that shard's lines.  Readers merge the shards at snapshot time,
+ * which is rare and cheap.  Both kinds honor the registry's quiesce
+ * switch (Registry::setQuiesced).
  *
  * Instruments are owned by the Registry singleton and live for the
  * process; references returned by counter()/gauge()/histogram() are
@@ -28,12 +39,12 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "base/table.hh"
 
@@ -41,33 +52,58 @@ namespace gpuscale {
 namespace obs {
 
 class JsonWriter;
-class ShardedCounter;
-class ShardedHistogram;
 
-/** Monotonic event counter; inc() is wait-free. */
+/** Destructive-interference padding unit for shard alignment. */
+constexpr size_t kCachelineBytes = 64;
+
+/**
+ * Shards per counter and histogram: a power of two, at least 4 (so
+ * shard behavior is observable even on one-core hosts), at most 64,
+ * sized to the hardware concurrency.  Fixed for the process lifetime.
+ */
+unsigned shardCount();
+
+/**
+ * The calling thread's home shard in [0, shardCount()).  Assigned
+ * round-robin on first use and cached thread-locally.
+ */
+unsigned currentShard();
+
+/**
+ * Pin the calling thread to shard `hint % shardCount()`.  The harness
+ * thread pool registers each worker with its spawn ordinal so pool
+ * workers spread deterministically across shards instead of hashing
+ * into collisions.
+ */
+void setThreadShardHint(unsigned hint);
+
+/**
+ * Monotonic event counter; inc() is one relaxed fetch_add on the
+ * calling thread's home shard.
+ */
 class Counter
 {
   public:
-    Counter() = default;
+    Counter();
     Counter(const Counter &) = delete;
     Counter &operator=(const Counter &) = delete;
 
-    void
-    inc(uint64_t n = 1)
-    {
-        value_.fetch_add(n, std::memory_order_relaxed);
-    }
+    void inc(uint64_t n = 1);
 
-    uint64_t
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
+    /** Sum across shards (monotone between resets). */
+    uint64_t value() const;
 
-    void reset() { value_.store(0, std::memory_order_relaxed); }
+    /** Per-shard values, for balance diagnostics. */
+    std::vector<uint64_t> shardValues() const;
+
+    void reset();
 
   private:
-    std::atomic<uint64_t> value_{0};
+    struct alignas(kCachelineBytes) Shard {
+        std::atomic<uint64_t> value{0};
+    };
+
+    std::unique_ptr<Shard[]> shards_;
 };
 
 /** Last-value instrument (levels, ratios); set() is wait-free. */
@@ -103,11 +139,13 @@ class Gauge
  * Log-scale histogram for latency-like values.
  *
  * Covers [1 ns, 1000 s) with kBucketsPerDecade buckets per factor of
- * ten plus underflow/overflow bins; record() is two relaxed atomic
- * RMWs plus CAS loops for min/max, so concurrent recording never
- * blocks.  Percentiles are reconstructed from bucket boundaries
- * (geometric midpoint), i.e. accurate to about half a bucket width
- * (~15% with 8 buckets/decade) — ample for telemetry.
+ * ten plus underflow/overflow bins; record() touches only the calling
+ * thread's shard (two relaxed atomic RMWs plus CAS loops for the
+ * sum and min/max), so concurrent recording never blocks, and every
+ * read-side statistic merges a relaxed snapshot of all shards.
+ * Percentiles are reconstructed from bucket boundaries (geometric
+ * midpoint), i.e. accurate to about half a bucket width (~15% with 8
+ * buckets/decade) — ample for telemetry.
  */
 class Histogram
 {
@@ -143,10 +181,13 @@ class Histogram
     double minSample() const;
     double maxSample() const;
 
+    /** Per-shard sample counts, for balance diagnostics. */
+    std::vector<uint64_t> shardCounts() const;
+
     /**
      * Value at the given percentile (p in [0, 100]), reconstructed
-     * from the bucket a snapshot of the counts lands in; 0 when
-     * empty.
+     * from the bucket a merged snapshot of the counts lands in; 0
+     * when empty.
      */
     double percentile(double p) const;
 
@@ -156,34 +197,19 @@ class Histogram
     static size_t bucketIndex(double v);
 
   private:
-    std::array<std::atomic<uint64_t>, kNumBuckets> buckets_;
-    std::atomic<uint64_t> count_{0};
-    std::atomic<double> sum_{0.0};
-    // Seeded at +/-infinity (the identity of min/max), never 0.0 — a
-    // 0.0 seed would pin minSample() below every positive sample.
-    std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-    std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
+    // min/max are seeded at +/-infinity (the identity of min/max) by
+    // reset(), never 0.0 — a 0.0 seed would pin minSample() below
+    // every positive sample.
+    struct alignas(kCachelineBytes) Shard {
+        std::array<std::atomic<uint64_t>, kNumBuckets> buckets;
+        std::atomic<uint64_t> count{0};
+        std::atomic<double> sum{0.0};
+        std::atomic<double> min;
+        std::atomic<double> max;
+    };
+
+    std::unique_ptr<Shard[]> shards_;
 };
-
-namespace detail {
-
-/** Relaxed CAS accumulate for atomic doubles (sums across threads). */
-void atomicAdd(std::atomic<double> &slot, double delta);
-
-/** Relaxed CAS lower/raise of an atomic double extreme. */
-void atomicMin(std::atomic<double> &slot, double v);
-void atomicMax(std::atomic<double> &slot, double v);
-
-/**
- * Percentile reconstruction from a merged bucket snapshot, shared by
- * Histogram and ShardedHistogram; clamps to [min_sample, max_sample].
- * Returns 0 when the snapshot is empty.
- */
-double percentileFromBuckets(
-    const std::array<uint64_t, Histogram::kNumBuckets> &snap, double p,
-    double min_sample, double max_sample);
-
-} // namespace detail
 
 /**
  * The process-wide instrument registry.
@@ -206,23 +232,11 @@ class Registry
     Histogram &histogram(const std::string &name,
                          const std::string &desc = "");
 
-    /**
-     * Sharded (striped) variants for instruments updated from many
-     * threads on hot paths (see sharded.hh).  A name owns one kind
-     * for the process lifetime: re-registering a plain instrument's
-     * name as sharded (or vice versa) is a panic, since snapshots
-     * would otherwise carry duplicate keys.
-     */
-    ShardedCounter &shardedCounter(const std::string &name,
-                                   const std::string &desc = "");
-    ShardedHistogram &shardedHistogram(const std::string &name,
-                                       const std::string &desc = "");
-
     bool empty() const;
 
     /**
-     * Process-wide telemetry quiesce switch: while set, sharded
-     * instruments drop inc()/record() after one relaxed load.  The
+     * Process-wide telemetry quiesce switch: while set, every counter
+     * and histogram drops inc()/record() after one relaxed load.  The
      * telemetry bench measures its instrumentation-overhead gate
      * against this baseline; production code never sets it.
      */
@@ -241,7 +255,9 @@ class Registry
     /**
      * Write the current values as a JSON object value:
      * {"counters": {...}, "gauges": {...}, "histograms": {name:
-     * {count,mean,min,max,p50,p90,p99}}}.
+     * {count,mean,min,max,p50,p90,p99}}, "shards": {name: [per-shard
+     * events, ...]}}.  "shards" lists every counter's shardValues()
+     * and every histogram's shardCounts().
      */
     void writeJson(JsonWriter &w) const;
 
@@ -282,10 +298,6 @@ class Registry
     std::map<std::string, Entry<Gauge>> gauges_;
     // guarded_by(mu_)
     std::map<std::string, Entry<Histogram>> histograms_;
-    // guarded_by(mu_)
-    std::map<std::string, Entry<ShardedCounter>> sharded_counters_;
-    // guarded_by(mu_)
-    std::map<std::string, Entry<ShardedHistogram>> sharded_histograms_;
 
     static inline std::atomic<bool> quiesced_{false};
 };

@@ -7,8 +7,8 @@
  *                             as a table: per-tick estimate counts and
  *                             the cache-hit trajectory (cumulative hit
  *                             rate over time).
- *   balance <metrics.json>    per-shard balance of the sharded
- *                             instruments in a --metrics snapshot
+ *   balance <metrics.json>    per-shard balance of every counter
+ *                             and histogram in a --metrics snapshot
  *                             (event share per stripe, max/mean skew).
  *   checkpoint <metrics.json> checkpoint overhead: journal record
  *                             counts and flush-latency distribution.

@@ -8,8 +8,7 @@ struct Registry {
     static Registry &instance();
     int &counter(const std::string &name);
     int &gauge(const std::string &name);
-    int &shardedCounter(const std::string &name);
-    int &shardedHistogram(const std::string &name);
+    int &histogram(const std::string &name);
 };
 
 struct Manifest {
@@ -21,8 +20,8 @@ record(Manifest &manifest)
 {
     Registry::instance().counter("Sweep.Estimates");
     Registry::instance().gauge("sweep.ok_name");
-    Registry::instance().shardedCounter("Sharded.Bad");
-    Registry::instance().shardedHistogram("sweep.sharded.ok");
+    Registry::instance().counter("Sharded.Bad");
+    Registry::instance().histogram("sweep.sharded.ok");
     GPUSCALE_TRACE_SCOPE("BadSpan");
     GPUSCALE_TRACE_SCOPE("sweep/");
     manifest.extra["Bad-Key"] = "x";

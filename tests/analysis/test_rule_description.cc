@@ -1,9 +1,9 @@
 /**
  * @file
  * Instrument-description rule tests: registrations through the
- * registry's counter/gauge/histogram methods (plain and sharded) must
- * carry a non-empty description literal; computed descriptions and
- * allow() suppressions are respected.
+ * registry's counter/gauge/histogram methods must carry a non-empty
+ * description literal; computed descriptions and allow() suppressions
+ * are respected.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,7 @@ TEST(RuleDescription, FlagsMissingAndEmptyDescriptions)
     const auto report = runRule(*makeDescriptionRule(), repo);
 
     // counter("bare.counter"), gauge("empty.gauge", ""), and
-    // shardedCounter("bare.sharded") — while the described, the
+    // counter("bare.sharded") — while the described, the
     // concatenated, the computed, and the suppressed registrations
     // stay silent.
     EXPECT_EQ(findingCount(report, "description"), 3u)

@@ -18,7 +18,7 @@ TEST(RuleNaming, FlagsUppercaseKeysButNotConformingOnes)
     const auto repo = loadFixture("naming_bad");
     const auto report = runRule(*makeNamingRule(), repo);
 
-    // counter("Sweep.Estimates"), shardedCounter("Sharded.Bad"),
+    // counter("Sweep.Estimates"), counter("Sharded.Bad"),
     // GPUSCALE_TRACE_SCOPE("BadSpan"), and extra["Bad-Key"] — while
     // "sweep.ok_name", "sweep.sharded.ok", the "sweep/" runtime
     // prefix, and "noise_sigma" stay silent.

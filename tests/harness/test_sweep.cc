@@ -13,8 +13,10 @@
 
 #include "gpu/analytic_model.hh"
 #include "gpu/kernel_desc.hh"
+#include "harness/checkpoint.hh"
 #include "harness/parallel.hh"
 #include "harness/thread_pool.hh"
+#include "support/temp_dir.hh"
 #include "workloads/archetypes.hh"
 
 namespace gpuscale {
@@ -96,6 +98,31 @@ TEST(SweepTest, BackToBackSweepsReusePoolWorkers)
     const uint64_t spawned_before = ThreadPool::instance().spawned();
     sweepKernels(model, kernels, space);
     EXPECT_EQ(ThreadPool::instance().spawned(), spawned_before);
+}
+
+TEST(SweepTest, JournalNeverReplaysAChangedKernelUnderTheSameName)
+{
+    test::ScopedTempDir dir("sweep_journal_identity");
+    const gpu::AnalyticModel model;
+    const auto space = scaling::ConfigSpace::testGrid();
+    const std::string grid_fp = space.grid().fingerprint();
+    auto kernel = workloads::streaming(
+        "t/s/journaled", {.wgs = 1024, .wi_per_wg = 256});
+    {
+        CensusJournal journal(dir.path(), model.fingerprint(), grid_fp);
+        sweepKernels(model, {&kernel}, space, nullptr, &journal);
+    }
+
+    // Same name, different descriptor: the resumed sweep must compute
+    // the changed kernel, not replay the journaled runtimes.
+    kernel.mem_loads *= 2;
+    CensusJournal journal(dir.path(), model.fingerprint(), grid_fp);
+    ASSERT_EQ(journal.loadedRecords(), 1u);
+    const auto surfaces =
+        sweepKernels(model, {&kernel}, space, nullptr, &journal);
+    ASSERT_EQ(surfaces.size(), 1u);
+    EXPECT_EQ(surfaces[0].runtimes(),
+              model.evaluateGridRuntimes(kernel, space.grid()));
 }
 
 TEST(SweepTest, EmptyBatch)

@@ -15,11 +15,11 @@
 
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/json.hh"
 #include "obs/metrics.hh"
-#include "obs/sharded.hh"
 #include "support/temp_dir.hh"
 
 namespace gpuscale {
@@ -50,8 +50,8 @@ TEST(ExporterTest, JsonlLinesRoundTripWithDeltaSemantics)
     Gauge &g = reg.gauge("test.exporter.gauge", "test gauge");
     Histogram &h =
         reg.histogram("test.exporter.hist", "test histogram");
-    ShardedCounter &sc = reg.shardedCounter(
-        "test.exporter.sharded.counter", "test sharded counter");
+    Counter &sc = reg.counter("test.exporter.split.counter",
+                              "test counter fed from two shards");
     c.reset();
     g.reset();
     h.reset();
@@ -70,7 +70,12 @@ TEST(ExporterTest, JsonlLinesRoundTripWithDeltaSemantics)
     MetricsExporter::flushNow();
 
     c.inc(5);
-    sc.inc(4);
+    // The second increment lands on another shard than the first.
+    const unsigned other_shard = currentShard() + 1;
+    std::thread([&sc, other_shard] {
+        setThreadShardHint(other_shard);
+        sc.inc(4);
+    }).join();
     g.set(0.25);
     h.record(4e-6);
     h.record(8e-6);
@@ -90,10 +95,10 @@ TEST(ExporterTest, JsonlLinesRoundTripWithDeltaSemantics)
                          static_cast<double>(i + 1));
     }
 
-    // Counters export deltas: 7 then 5 then 0; the sharded counter
-    // rides in the same group (3, 4, 0).
+    // Counters export deltas: 7 then 5 then 0; the counter fed from
+    // two shards exports the deltas of its merged value (3, 4, 0).
     const char *ctr = "test.exporter.counter";
-    const char *sctr = "test.exporter.sharded.counter";
+    const char *sctr = "test.exporter.split.counter";
     EXPECT_DOUBLE_EQ(lines[0].at("counters").at(ctr).number, 7.0);
     EXPECT_DOUBLE_EQ(lines[1].at("counters").at(ctr).number, 5.0);
     EXPECT_DOUBLE_EQ(lines[2].at("counters").at(ctr).number, 0.0);

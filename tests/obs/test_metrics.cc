@@ -11,6 +11,7 @@
 #include <cmath>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hh"
@@ -224,7 +225,9 @@ TEST(RegistryTest, SnapshotJsonParsesAndCarriesValues)
 
     const JsonValue v = parseJson(reg.snapshotJson());
     ASSERT_TRUE(v.isObject());
-    EXPECT_GE(v.at("counters").at("test.snapshot.counter").number, 7.0);
+    const double counter =
+        v.at("counters").at("test.snapshot.counter").number;
+    EXPECT_GE(counter, 7.0);
     EXPECT_DOUBLE_EQ(v.at("gauges").at("test.snapshot.gauge").number,
                      1.5);
     const JsonValue &hist = v.at("histograms").at("test.snapshot.hist");
@@ -232,6 +235,24 @@ TEST(RegistryTest, SnapshotJsonParsesAndCarriesValues)
     EXPECT_GT(hist.at("p50").number, 0.0);
     EXPECT_GE(hist.at("p99").number, hist.at("p50").number);
     EXPECT_GE(hist.at("max").number, hist.at("min").number);
+
+    // Every counter and histogram lists one entry per shard, and the
+    // entries sum to the instrument's merged value.
+    const JsonValue &shards = v.at("shards");
+    for (const auto &[name, total] :
+         {std::pair<const char *, double>{"test.snapshot.counter",
+                                          counter},
+          {"test.snapshot.hist", hist.at("count").number}})
+    {
+        const JsonValue *per_shard = shards.find(name);
+        ASSERT_NE(per_shard, nullptr) << name;
+        ASSERT_TRUE(per_shard->isArray()) << name;
+        EXPECT_EQ(per_shard->array.size(), shardCount()) << name;
+        double sum = 0.0;
+        for (const JsonValue &e : per_shard->array)
+            sum += e.number;
+        EXPECT_DOUBLE_EQ(sum, total) << name;
+    }
 }
 
 TEST(RegistryTest, ExpositionRendersPrometheusText)

@@ -1,12 +1,12 @@
 /**
  * @file
- * Unit tests for the sharded hot-path instruments: merge correctness
- * under contention, shard pinning, the registry quiesce switch, and —
- * under TSan — resetAll() racing concurrent record()/inc() without a
- * data race.
+ * Unit tests for the striping behind every Counter and Histogram:
+ * merge correctness under contention, shard pinning, the registry
+ * quiesce switch, and — under TSan — resetAll() racing concurrent
+ * record()/inc() without a data race.
  */
 
-#include "obs/sharded.hh"
+#include "obs/metrics.hh"
 
 #include <gtest/gtest.h>
 
@@ -14,8 +14,6 @@
 #include <cmath>
 #include <thread>
 #include <vector>
-
-#include "obs/metrics.hh"
 
 namespace gpuscale {
 namespace obs {
@@ -59,9 +57,9 @@ TEST(ShardedLayoutTest, ThreadShardHintPinsModuloShardCount)
     EXPECT_EQ(wrapped, 2u % shardCount());
 }
 
-TEST(ShardedCounterTest, ConcurrentIncrementsMergeExactly)
+TEST(ShardedMergeTest, CounterIncrementsMergeExactly)
 {
-    ShardedCounter &c = Registry::instance().shardedCounter(
+    Counter &c = Registry::instance().counter(
         "test.sharded.concurrent_counter", "test counter");
     c.reset();
 
@@ -95,9 +93,9 @@ TEST(ShardedCounterTest, ConcurrentIncrementsMergeExactly)
     EXPECT_GE(active, std::min<size_t>(kThreads, shardCount()));
 }
 
-TEST(ShardedHistogramTest, MergedStatisticsMatchPlainHistogram)
+TEST(ShardedMergeTest, HistogramStatisticsMergeAcrossShards)
 {
-    ShardedHistogram &h = Registry::instance().shardedHistogram(
+    Histogram &h = Registry::instance().histogram(
         "test.sharded.histogram", "test histogram");
     h.reset();
     EXPECT_TRUE(h.empty());
@@ -128,8 +126,8 @@ TEST(ShardedHistogramTest, MergedStatisticsMatchPlainHistogram)
     EXPECT_NEAR(h.sum(), expected_sum, expected_sum * 1e-9);
     EXPECT_NEAR(h.mean(), expected_sum / h.count(),
                 expected_sum * 1e-9);
-    // Same bucket geometry as Histogram: the merged percentile lands
-    // within log-bucket resolution of the true order statistics.
+    // The merged percentile lands within log-bucket resolution of the
+    // true order statistics.
     EXPECT_NEAR(h.percentile(50), 4e-6, 2e-6);
     EXPECT_GE(h.percentile(0), 1e-6);
     EXPECT_LE(h.percentile(100), 8e-6);
@@ -144,23 +142,33 @@ TEST(ShardedHistogramTest, MergedStatisticsMatchPlainHistogram)
 
 TEST(ShardedQuiesceTest, QuiescedInstrumentsDropUpdates)
 {
-    ShardedCounter &c = Registry::instance().shardedCounter(
-        "test.sharded.quiesce.counter", "test counter");
-    ShardedHistogram &h = Registry::instance().shardedHistogram(
-        "test.sharded.quiesce.hist", "test histogram");
+    auto &reg = Registry::instance();
+    Counter &c = reg.counter("test.sharded.quiesce.counter",
+                             "test counter");
+    // The sweep cache's hit counter: quiesce covers every counter,
+    // not only the census hot loop's.
+    Counter &hits =
+        reg.counter("sweep.cache.hits", "sweep-cache lookups served");
+    Histogram &h =
+        reg.histogram("test.sharded.quiesce.hist", "test histogram");
     c.reset();
+    hits.reset();
     h.reset();
 
     Registry::setQuiesced(true);
     c.inc(5);
+    hits.inc(5);
     h.record(1e-3);
     Registry::setQuiesced(false);
     EXPECT_EQ(c.value(), 0u);
+    EXPECT_EQ(hits.value(), 0u);
     EXPECT_TRUE(h.empty());
 
     c.inc(5);
+    hits.inc(5);
     h.record(1e-3);
     EXPECT_EQ(c.value(), 5u);
+    EXPECT_EQ(hits.value(), 5u);
     EXPECT_EQ(h.count(), 1u);
 }
 
@@ -173,12 +181,10 @@ TEST(ShardedQuiesceTest, QuiescedInstrumentsDropUpdates)
 TEST(ShardedResetRaceTest, ResetAllRacesConcurrentRecordsCleanly)
 {
     auto &reg = Registry::instance();
-    ShardedCounter &c =
-        reg.shardedCounter("test.sharded.reset_race.counter",
-                           "test counter");
-    ShardedHistogram &h =
-        reg.shardedHistogram("test.sharded.reset_race.hist",
-                             "test histogram");
+    Counter &c = reg.counter("test.sharded.reset_race.counter",
+                             "test counter");
+    Histogram &h = reg.histogram("test.sharded.reset_race.hist",
+                                 "test histogram");
 
     std::atomic<bool> stop{false};
     constexpr int kWriters = 4;
