@@ -6,10 +6,7 @@
 #ifndef GPUSCALE_GPU_PERF_RESULT_HH
 #define GPUSCALE_GPU_PERF_RESULT_HH
 
-#include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "cache_model.hh"
 #include "occupancy.hh"
@@ -86,19 +83,6 @@ struct KernelPerf {
     /** Performance in launches of useful work per second. */
     double throughput() const { return time_s > 0 ? 1.0 / time_s : 0.0; }
 };
-
-/**
- * Serialize one shard result (a runtime per grid point) to a single
- * locale-independent line: "<count>:<v0>,<v1>,...".  Round-trips
- * bitwise through parseRuntimes(), which is what lets the disk sweep
- * cache and the census checkpoint journal replay results without
- * drifting from a fresh compute.
- */
-std::string serializeRuntimes(const std::vector<double> &runtimes);
-
-/** Parse serializeRuntimes() output; nullopt on any malformation. */
-std::optional<std::vector<double>> parseRuntimes(
-    std::string_view text);
 
 } // namespace gpu
 } // namespace gpuscale

@@ -1,6 +1,6 @@
 /**
  * @file
- * CensusJournal implementation.
+ * Durable store implementation.
  */
 
 #include "checkpoint.hh"
@@ -8,125 +8,230 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string_view>
 
 #include "base/crc32.hh"
 #include "base/fault.hh"
 #include "base/logging.hh"
-#include "base/string_util.hh"
 #include "obs/fault_telemetry.hh"
 #include "obs/metrics.hh"
+#include "obs/retry.hh"
 
 namespace gpuscale {
 namespace harness {
 
 namespace {
 
-constexpr char kJournalMagic[] = "gpuscale-census-journal-v1";
-constexpr char kJournalName[] = "census.journal";
+constexpr char kMagic[] = "gpuscale-census-journal-v1";
 
 /**
  * Sanity cap on a record's double count: a corrupt metadata line
- * must not make replay allocate gigabytes.  Far above any real grid
+ * must not make a load allocate gigabytes.  Far above any real grid
  * (the paper grid is 891 points).
  */
 constexpr size_t kMaxRecordDoubles = 1 << 20;
 
-/** Cached instrument references for the journal. */
-struct CheckpointMetrics {
-    obs::Counter &records;
-    obs::Counter &replayed;
-    obs::Counter &corrupt;
-    obs::Histogram &flush_latency;
+/**
+ * Longest metadata line a load searches for its newline.  Real keys
+ * are under 1 KB.
+ */
+constexpr size_t kMaxMetaBytes = 16 * 1024;
 
-    static CheckpointMetrics &
-    get()
+/** Bytes a load reads per refill of its window. */
+constexpr size_t kWindowBytes = 256 * 1024;
+
+/** Set (or, with F_UNLCK, drop) a POSIX lock on the whole file. */
+bool
+lockFile(int fd, short type)
+{
+    struct flock fl {};
+    fl.l_type = type;
+    fl.l_whence = SEEK_SET;
+    int rc;
+    do {
+        rc = ::fcntl(fd, F_SETLKW, &fl);
+    } while (rc != 0 && errno == EINTR);
+    return rc == 0;
+}
+
+/**
+ * Holds the file lock for its lifetime.  The process owns a POSIX
+ * lock, not the open file description, so forked children sharing
+ * the parent's fd still exclude each other; flock() and OFD locks
+ * would not.
+ */
+struct FileLock {
+    explicit FileLock(int fd) : fd(fd), held(lockFile(fd, F_WRLCK)) {}
+    ~FileLock()
     {
-        static CheckpointMetrics m{
-            obs::Registry::instance().counter(
-                "checkpoint.records",
-                "kernel records appended to the census journal"),
-            obs::Registry::instance().counter(
-                "checkpoint.replayed",
-                "kernels served from a replayed census journal"),
-            obs::Registry::instance().counter(
-                "checkpoint.corrupt",
-                "journal records discarded by CRC or parse failure"),
-            obs::Registry::instance().histogram(
-                "checkpoint.flush.latency",
-                "seconds per journal buffer flush to disk"),
-        };
-        return m;
+        if (held)
+            lockFile(fd, F_UNLCK);
+    }
+    FileLock(const FileLock &) = delete;
+    FileLock &operator=(const FileLock &) = delete;
+
+    const int fd;
+    const bool held;
+};
+
+/**
+ * Sequential reader over the store's fd: a load walks a
+ * multi-megabyte file but buffers at most one record plus
+ * kWindowBytes of it.
+ */
+struct Window {
+    int fd;
+    std::string buf;
+    size_t pos = 0;
+    uint64_t base = 0; ///< file offset of buf[0]
+    bool eof = false;
+
+    /** Buffer `n` bytes past pos, or up to EOF; false on an error. */
+    bool
+    fill(size_t n)
+    {
+        if (buf.size() - pos >= n || eof)
+            return true;
+        buf.erase(0, pos);
+        base += pos;
+        pos = 0;
+        size_t have = buf.size();
+        buf.resize(std::max(n, kWindowBytes));
+        while (have < buf.size() && !eof) {
+            const ssize_t got =
+                ::pread(fd, buf.data() + have, buf.size() - have,
+                        static_cast<off_t>(base + have));
+            if (got > 0)
+                have += static_cast<size_t>(got);
+            else if (got < 0 && errno != EINTR)
+                return false;
+            eof = got == 0;
+        }
+        buf.resize(have);
+        return true;
+    }
+
+    size_t avail() const { return buf.size() - pos; }
+    std::string_view
+    view(size_t n) const
+    {
+        return std::string_view(buf).substr(pos, n);
     }
 };
 
-/** "<crc32 hex8> <payload>" for one record payload. */
-std::string
-recordLine(const std::string &payload)
+/** A parsed "<key>|<count>:<chk64 hex16>" metadata payload. */
+struct Meta {
+    std::string key; ///< a copy: refilling the window moves its bytes
+    size_t count = 0;
+    uint64_t chk = 0;
+};
+
+/** Parse one "<crc32 hex8> <meta>" line; false when mangled. */
+bool
+parseMetaLine(std::string_view line, Meta &meta)
 {
-    char crc_hex[16];
-    std::snprintf(crc_hex, sizeof(crc_hex), "%08x",
-                  crc32(payload));
-    std::string line = crc_hex;
-    line += ' ';
-    line += payload;
-    line += '\n';
-    return line;
+    if (line.size() <= 9 || line[8] != ' ')
+        return false;
+    uint32_t stored_crc = 0;
+    auto res = std::from_chars(line.data(), line.data() + 8,
+                               stored_crc, 16);
+    if (res.ec != std::errc() || res.ptr != line.data() + 8)
+        return false;
+    const std::string_view payload = line.substr(9);
+    if (crc32(payload) != stored_crc)
+        return false;
+    // Keys contain '|'; the count follows the last one.
+    const size_t bar = payload.rfind('|');
+    const size_t colon = payload.rfind(':');
+    if (bar == std::string_view::npos ||
+        colon == std::string_view::npos || colon < bar)
+        return false;
+    meta.key.assign(payload.substr(0, bar));
+    const char *b = payload.data();
+    res = std::from_chars(b + bar + 1, b + colon, meta.count, 10);
+    if (res.ec != std::errc() || res.ptr != b + colon ||
+        meta.count > kMaxRecordDoubles)
+        return false;
+    res = std::from_chars(b + colon + 1, b + payload.size(), meta.chk,
+                          16);
+    return res.ec == std::errc() && res.ptr == b + payload.size();
 }
 
 } // namespace
 
+const StoreRole &
+StoreRole::journal()
+{
+    obs::Registry &registry = obs::Registry::instance();
+    static const StoreRole role{
+        "census.journal",
+        "checkpoint.dir",
+        "checkpoint.disk.read",
+        "checkpoint.disk.write",
+        registry.counter("checkpoint.records",
+                         "kernel records appended to the census "
+                         "journal"),
+        registry.counter("checkpoint.replayed",
+                         "kernels served from a replayed census "
+                         "journal"),
+        registry.counter("checkpoint.corrupt",
+                         "journal records discarded by CRC or parse "
+                         "failure"),
+        &registry.histogram("checkpoint.flush.latency",
+                            "seconds per journal buffer flush to "
+                            "disk"),
+    };
+    return role;
+}
+
 CensusJournal::CensusJournal(const std::string &dir,
                              const std::string &model_fingerprint,
-                             const std::string &grid_fingerprint)
+                             const std::string &grid_fingerprint,
+                             const StoreRole &role)
+    : role_(role)
 {
     if (model_fingerprint.empty()) {
-        warn("checkpoint: model is uncacheable (empty fingerprint); "
-             "journal disabled");
+        warn("%s: model is uncacheable (empty fingerprint); store "
+             "disabled",
+             role_.file_name);
         return;
     }
 
-    if (faultPoint("checkpoint.dir")) {
-        warn("checkpoint: cannot create directory %s; journal "
-             "disabled",
-             dir.c_str());
-        obs::noteDegradation("checkpoint.dir");
+    if (faultPoint(role_.dir_site)) {
+        warn("cannot create directory %s; %s disabled", dir.c_str(),
+             role_.file_name);
+        obs::noteDegradation(role_.dir_site);
         return;
     }
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
-    fatal_if(ec, "cannot create checkpoint directory %s: %s",
-             dir.c_str(), ec.message().c_str());
+    fatal_if(ec, "cannot create directory %s: %s", dir.c_str(),
+             ec.message().c_str());
 
-    path_ = dir + "/" + kJournalName;
-    std::string header = kJournalMagic;
-    header += "\nmodel=";
-    header += model_fingerprint;
-    header += "\ngrid=";
-    header += grid_fingerprint;
-    header += '\n';
+    path_ = dir + "/" + role_.file_name;
+    header_ = kMagic;
+    header_ += "\nmodel=";
+    header_ += model_fingerprint;
+    header_ += "\ngrid=";
+    header_ += grid_fingerprint;
+    header_ += '\n';
 
-    load(header);
-    if (loaded_.empty() && !writeHeader(header))
-        return;
-
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
+                 0644);
     if (fd_ < 0) {
-        warn("checkpoint: cannot open %s for append; journal "
-             "disabled",
-             path_.c_str());
-        obs::noteDegradation("checkpoint.open");
+        warn("cannot open %s; store disabled", path_.c_str());
+        obs::noteDegradation(role_.dir_site);
         return;
     }
-    inform("checkpoint: journal %s (%zu record(s) replayed)",
-           path_.c_str(), loaded_.size());
+    reload();
+    inform("%s: %zu record(s) indexed", path_.c_str(),
+           loadedRecords());
 }
 
 CensusJournal::~CensusJournal()
@@ -134,175 +239,162 @@ CensusJournal::~CensusJournal()
     if (fd_ < 0)
         return;
     try {
+        std::lock_guard<std::mutex> lock(append_mutex_);
         flushLocked();
     } catch (const FaultInjectedError &) {
         // An injected crash during the final flush: the buffered
         // records are lost and re-run on resume, which is exactly
-        // the journal's contract.  The dtor must not throw.
-        obs::noteDegradation("checkpoint.flush");
+        // the store's contract.  The dtor must not throw.
+        obs::noteDegradation(role_.write_site);
     }
     ::close(fd_);
-    fd_ = -1;
+}
+
+size_t
+CensusJournal::loadedRecords() const
+{
+    std::lock_guard<std::mutex> lock(index_mutex_);
+    return index_.size();
 }
 
 void
-CensusJournal::load(const std::string &header)
+CensusJournal::reload()
 {
-    if (faultPoint("checkpoint.load")) {
-        warn("checkpoint: injected read fault loading %s; starting "
-             "fresh",
-             path_.c_str());
-        obs::noteDegradation("checkpoint.load");
+    if (fd_ < 0)
         return;
+    Index index;
+    {
+        std::lock_guard<std::mutex> lock(append_mutex_);
+        const bool loaded = obs::retryWithBackoff(
+            obs::retryPolicy(), role_.read_site, [&] {
+                index.clear();
+                if (faultPoint(role_.read_site))
+                    return false;
+                const FileLock file_lock(fd_);
+                if (!file_lock.held)
+                    return false;
+                const Scan scan = scanLocked(index);
+                if (scan != Scan::NoHeader)
+                    return scan == Scan::Indexed;
+                // Rewritten in place, not renamed over: processes
+                // holding the file keep appending to this one.
+                return ::ftruncate(fd_, 0) == 0 &&
+                       ::write(fd_, header_.data(), header_.size()) ==
+                           static_cast<ssize_t>(header_.size());
+            });
+        if (!loaded) {
+            // Nothing is replayed; every kernel simply re-runs.
+            index.clear();
+            obs::noteDegradation(role_.read_site);
+        }
     }
-
-    std::ifstream is(path_);
-    if (!is)
-        return; // first run: no journal yet
-
-    // The header is compared as a block: magic, model, and grid must
-    // all match or the journal belongs to a different census.
-    std::string head(header.size(), '\0');
-    is.read(head.data(), static_cast<std::streamsize>(head.size()));
-    if (is.gcount() != static_cast<std::streamsize>(head.size()) ||
-        head != header) {
-        warn("checkpoint: %s is from a different model/grid or "
-             "corrupt; discarding it",
-             path_.c_str());
-        obs::noteDegradation("checkpoint.header");
-        return;
-    }
-
-    CheckpointMetrics &metrics = CheckpointMetrics::get();
-    std::string line;
-    while (std::getline(is, line)) {
-        // Metadata line "<crc32 hex8> <key>|<count>:<chk64 hex16>".
-        // Its CRC also guards the body framing, so a mangled line
-        // means the record boundaries after it cannot be trusted:
-        // stop replaying and let the rest re-run.  (The torn final
-        // line of a killed run lands here too.)
-        bool framed = line.size() > 9 && line[8] == ' ';
-        uint32_t stored_crc = 0;
-        if (framed) {
-            const auto res = std::from_chars(
-                line.data(), line.data() + 8, stored_crc, 16);
-            framed =
-                res.ec == std::errc() && res.ptr == line.data() + 8;
-        }
-        const std::string meta = framed ? line.substr(9) : "";
-        if (framed)
-            framed = crc32(meta) == stored_crc;
-
-        std::string key;
-        size_t count = 0;
-        uint64_t stored_chk = 0;
-        if (framed) {
-            // Keys contain '|'; the count follows the last one.
-            const size_t bar = meta.rfind('|');
-            const size_t colon = meta.rfind(':');
-            framed = bar != std::string::npos &&
-                     colon != std::string::npos && colon > bar;
-            if (framed) {
-                key = meta.substr(0, bar);
-                const char *b = meta.data();
-                auto res = std::from_chars(b + bar + 1, b + colon,
-                                           count, 10);
-                framed = res.ec == std::errc() &&
-                         res.ptr == b + colon &&
-                         count <= kMaxRecordDoubles;
-                if (framed) {
-                    res = std::from_chars(b + colon + 1,
-                                          b + meta.size(),
-                                          stored_chk, 16);
-                    framed = res.ec == std::errc() &&
-                             res.ptr == b + meta.size();
-                }
-            }
-        }
-        if (!framed) {
-            metrics.corrupt.inc();
-            warn("checkpoint: corrupt journal metadata (%zu "
-                 "byte(s)); replay stops here",
-                 line.size());
-            obs::noteDegradation("checkpoint.record");
-            break;
-        }
-
-        // The framing is trusted now: consume the body plus its
-        // newline even if the checksum then rejects the record, so
-        // one flipped bit costs one kernel, not the rest of the
-        // journal.
-        std::string body(count * sizeof(double), '\0');
-        is.read(body.data(),
-                static_cast<std::streamsize>(body.size()));
-        const bool torn =
-            is.gcount() !=
-                static_cast<std::streamsize>(body.size()) ||
-            is.get() != '\n';
-        if (torn) {
-            metrics.corrupt.inc();
-            warn("checkpoint: torn journal record for %s; replay "
-                 "stops here",
-                 key.c_str());
-            obs::noteDegradation("checkpoint.record");
-            break;
-        }
-        if (chk64(body) != stored_chk) {
-            metrics.corrupt.inc();
-            warn("checkpoint: body checksum mismatch for %s; "
-                 "record skipped",
-                 key.c_str());
-            obs::noteDegradation("checkpoint.record");
-            continue;
-        }
-        std::vector<double> runtimes(count);
-        std::memcpy(runtimes.data(), body.data(), body.size());
-        loaded_[key] = std::move(runtimes);
-    }
+    std::lock_guard<std::mutex> lock(index_mutex_);
+    index_ = std::move(index);
 }
 
-bool
-CensusJournal::writeHeader(const std::string &header)
+CensusJournal::Scan
+CensusJournal::scanLocked(Index &index)
 {
-    // Temp + rename: a crash here leaves either no journal or a
-    // complete header, never a half-written one.
-    if (faultPoint("checkpoint.header")) {
-        warn("checkpoint: cannot write %s; journal disabled",
-             path_.c_str());
-        obs::noteDegradation("checkpoint.header.write");
-        return false;
-    }
-    const std::string tmp = path_ + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::trunc);
-        if (!os) {
-            warn("checkpoint: cannot write %s; journal disabled",
-                 tmp.c_str());
-            obs::noteDegradation("checkpoint.header.write");
-            return false;
+    Window in{fd_};
+    if (!in.fill(header_.size()))
+        return Scan::IoError;
+    // The header is compared as a block: magic, model and grid must
+    // all match or the file belongs to a different census.
+    if (in.view(header_.size()) != header_) {
+        if (in.avail() > 0) {
+            warn("%s is from a different model/grid or corrupt; "
+                 "discarding it",
+                 path_.c_str());
+            obs::noteDegradation(role_.read_site);
         }
-        os << header;
+        return Scan::NoHeader;
     }
-    if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-        warn("checkpoint: cannot rename %s into place; journal "
-             "disabled",
-             tmp.c_str());
-        std::remove(tmp.c_str());
-        obs::noteDegradation("checkpoint.header.rename");
-        return false;
+    in.pos = header_.size();
+
+    while (true) {
+        const uint64_t start = in.base + in.pos;
+        if (!in.fill(kMaxMetaBytes))
+            return Scan::IoError;
+        if (in.avail() == 0)
+            return Scan::Indexed;
+        // The metadata CRC also guards the body framing, so a
+        // mangled line means the record boundaries after it cannot
+        // be trusted; a torn tail (killed mid-write) looks the same.
+        // Either way the file is cut there, so what later runs
+        // append after it is replayed too.
+        const std::string_view rest = in.view(kMaxMetaBytes);
+        const size_t nl = rest.find('\n');
+        Meta meta;
+        bool framed = nl != std::string_view::npos &&
+                      parseMetaLine(rest.substr(0, nl), meta);
+        size_t body_bytes = 0;
+        if (framed) {
+            body_bytes = meta.count * sizeof(double);
+            in.pos += nl + 1;
+            if (!in.fill(body_bytes + 1))
+                return Scan::IoError;
+            framed = in.avail() > body_bytes &&
+                     in.view(body_bytes + 1).back() == '\n';
+        }
+        if (!framed) {
+            role_.corrupt.inc();
+            obs::noteDegradation(role_.read_site);
+            warn("%s: torn or corrupt record at byte %llu; cutting "
+                 "the file there",
+                 path_.c_str(), static_cast<unsigned long long>(start));
+            return ::ftruncate(fd_, static_cast<off_t>(start)) == 0
+                       ? Scan::Indexed
+                       : Scan::IoError;
+        }
+        // The framing is trusted: a bad body costs one record, not
+        // the rest of the file.
+        if (chk64(in.view(body_bytes)) != meta.chk) {
+            role_.corrupt.inc();
+            obs::noteDegradation(role_.read_site);
+            warn("%s: body checksum mismatch for %s; record skipped",
+                 path_.c_str(), meta.key.c_str());
+        } else {
+            index[std::move(meta.key)] =
+                Entry{in.base + in.pos, meta.count, meta.chk};
+        }
+        in.pos += body_bytes + 1;
     }
-    return true;
 }
 
 bool
 CensusJournal::lookup(const std::string &key,
                       std::vector<double> &runtimes) const
 {
-    const auto it = loaded_.find(key);
-    if (it == loaded_.end())
+    Entry entry;
+    {
+        std::lock_guard<std::mutex> lock(index_mutex_);
+        const auto it = index_.find(key);
+        if (it == index_.end())
+            return false;
+        entry = it->second;
+    }
+
+    if (faultPoint(role_.read_site)) {
+        obs::noteDegradation(role_.read_site);
         return false;
-    runtimes = it->second;
-    CheckpointMetrics::get().replayed.inc();
+    }
+    // The body is read back and checked again: only a file rewritten
+    // under this index (another process discarded its header) fails.
+    std::vector<double> body(entry.count);
+    const size_t bytes = entry.count * sizeof(double);
+    if (::pread(fd_, body.data(), bytes,
+                static_cast<off_t>(entry.offset)) !=
+            static_cast<ssize_t>(bytes) ||
+        chk64(std::string_view(reinterpret_cast<char *>(body.data()),
+                               bytes)) != entry.chk) {
+        role_.corrupt.inc();
+        warn("%s: record for %s changed on disk; recomputing",
+             path_.c_str(), key.c_str());
+        obs::noteDegradation(role_.read_site);
+        return false;
+    }
+    runtimes = std::move(body);
+    role_.hits.inc();
     return true;
 }
 
@@ -324,21 +416,17 @@ CensusJournal::record(const std::string &key,
     meta += std::to_string(runtimes.size());
     meta += ':';
     meta += chk_hex;
-    const std::string head = recordLine(meta);
+    char crc_hex[16];
+    std::snprintf(crc_hex, sizeof(crc_hex), "%08x", crc32(meta));
 
     std::lock_guard<std::mutex> lock(append_mutex_);
-    if (faultPoint("checkpoint.append")) {
-        // Dropping a record only costs a re-run of this kernel on
-        // the next resume; stopping the census would cost the run.
-        warn("checkpoint: failed to append record for %s",
-             key.c_str());
-        obs::noteDegradation("checkpoint.append");
-        return;
-    }
-    pending_ += head;
+    pending_ += crc_hex;
+    pending_ += ' ';
+    pending_ += meta;
+    pending_ += '\n';
     pending_ += body;
     pending_ += '\n';
-    CheckpointMetrics::get().records.inc();
+    role_.records.inc();
     if (pending_.size() >= kFlushBytes)
         flushLocked();
 }
@@ -346,32 +434,45 @@ CensusJournal::record(const std::string &key,
 void
 CensusJournal::flushLocked()
 {
-    const auto t0 = std::chrono::steady_clock::now();
-    if (faultPoint("checkpoint.flush")) {
-        warn("checkpoint: flush of %zu byte(s) failed; those "
-             "records will re-run on resume",
-             pending_.size());
-        obs::noteDegradation("checkpoint.flush");
+    if (pending_.empty())
         return;
-    }
-    size_t off = 0;
-    while (off < pending_.size()) {
-        const ssize_t n = ::write(fd_, pending_.data() + off,
-                                  pending_.size() - off);
-        if (n <= 0) {
-            warn("checkpoint: flush of %zu byte(s) failed; those "
-                 "records will re-run on resume",
-                 pending_.size() - off);
-            obs::noteDegradation("checkpoint.flush");
-            break;
-        }
-        off += static_cast<size_t>(n);
+    const auto t0 = std::chrono::steady_clock::now();
+    // The lock spans the retries, so a resumed write stays one
+    // contiguous run of records that no other process splits.
+    const FileLock file_lock(fd_);
+    const off_t start = ::lseek(fd_, 0, SEEK_END);
+    const std::string_view out = pending_;
+    size_t written = 0;
+    const bool ok = obs::retryWithBackoff(
+        obs::retryPolicy(), role_.write_site, [&] {
+            if (faultPoint(role_.write_site) || !file_lock.held ||
+                start < 0)
+                return false;
+            while (written < out.size()) {
+                const ssize_t n = ::write(fd_, out.data() + written,
+                                          out.size() - written);
+                if (n < 0 && errno == EINTR)
+                    continue;
+                if (n <= 0)
+                    return false;
+                written += static_cast<size_t>(n);
+            }
+            return true;
+        });
+    if (!ok) {
+        // Those records re-run on the next resume.  Cut back a
+        // partial write so the file ends on a record boundary.
+        if (written > 0 && file_lock.held && start >= 0)
+            (void)::ftruncate(fd_, start);
+        obs::noteDegradation(role_.write_site);
     }
     pending_.clear();
-    CheckpointMetrics::get().flush_latency.record(
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
+    if (role_.flush_latency != nullptr) {
+        role_.flush_latency->record(
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+    }
 }
 
 void
@@ -386,11 +487,9 @@ CensusJournal::flush()
 void
 CensusJournal::sync()
 {
-    if (fd_ < 0)
-        return;
-    std::lock_guard<std::mutex> lock(append_mutex_);
-    flushLocked();
-    ::fsync(fd_);
+    flush();
+    if (fd_ >= 0)
+        ::fsync(fd_);
 }
 
 } // namespace harness

@@ -1,50 +1,27 @@
 /**
  * @file
- * SweepCache implementation.
- *
- * The disk layer is where real deployments hurt: shared filesystems
- * time out, files get truncated by full disks, and entries corrupt.
- * All disk traffic therefore flows through the obs retry policy
- * (transient failures back off and re-attempt) and then *degrades* —
- * a read becomes a miss, a write is skipped — with a counted warning,
- * never an abort.  The sweep_cache.disk.{read,write} fault-injection
- * sites stand in for the real failures in tests.
+ * SweepCache implementation.  The disk layer is the durable store
+ * (checkpoint.hh) in the role below, so shared filesystems that time
+ * out and files that truncate or corrupt go through the store's
+ * retry-then-degrade policy: a counted miss or a dropped write, never
+ * an abort.
  */
 
 #include "sweep_cache.hh"
 
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
-#include "base/fault.hh"
-#include "base/logging.hh"
 #include "base/string_util.hh"
-#include "gpu/perf_result.hh"
-#include "obs/fault_telemetry.hh"
+#include "checkpoint.hh"
 #include "obs/metrics.hh"
-#include "obs/retry.hh"
 
 namespace gpuscale {
 namespace harness {
 
 namespace {
 
-constexpr char kFileMagic[] = "gpuscale-sweep-cache-v2";
-
 /** Cached instrument references for the cache hot path. */
 struct CacheMetrics {
     obs::Counter &hits;
     obs::Counter &misses;
-    obs::Counter &disk_hits;
-    obs::Counter &disk_writes;
-    obs::Counter &corrupt;
-    obs::Counter &read_degraded;
-    obs::Counter &write_degraded;
     obs::Gauge &entries;
 
     static CacheMetrics &
@@ -55,21 +32,6 @@ struct CacheMetrics {
                 "sweep.cache.hits", "sweep-cache lookups served"),
             obs::Registry::instance().counter(
                 "sweep.cache.misses", "sweep-cache lookups recomputed"),
-            obs::Registry::instance().counter(
-                "sweep.cache.disk.hits",
-                "sweep-cache hits served from the disk layer"),
-            obs::Registry::instance().counter(
-                "sweep.cache.disk.writes",
-                "sweep-cache entries persisted to disk"),
-            obs::Registry::instance().counter(
-                "sweep.cache.corrupt",
-                "corrupt disk entries discarded (degraded to miss)"),
-            obs::Registry::instance().counter(
-                "sweep.cache.read.degraded",
-                "disk reads that exhausted retries (served as miss)"),
-            obs::Registry::instance().counter(
-                "sweep.cache.write.degraded",
-                "disk writes that exhausted retries (entry dropped)"),
             obs::Registry::instance().gauge(
                 "sweep.cache.entries", "in-memory sweep-cache entries"),
         };
@@ -77,15 +39,27 @@ struct CacheMetrics {
     }
 };
 
-uint64_t
-fnv1a(const std::string &s)
+/** The disk layer's role in the durable store. */
+const StoreRole &
+diskRole()
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    obs::Registry &registry = obs::Registry::instance();
+    static const StoreRole role{
+        "sweep-cache.journal",
+        "sweep_cache.dir",
+        "sweep_cache.disk.read",
+        "sweep_cache.disk.write",
+        registry.counter("sweep.cache.disk.writes",
+                         "sweep-cache entries appended to the disk "
+                         "layer"),
+        registry.counter("sweep.cache.disk.hits",
+                         "sweep-cache hits served from the disk layer"),
+        registry.counter("sweep.cache.corrupt",
+                         "corrupt disk records discarded (degraded to "
+                         "miss)"),
+        nullptr,
+    };
+    return role;
 }
 
 void
@@ -93,49 +67,6 @@ appendDouble(std::string &out, double v)
 {
     out += formatDoubleShortest(v);
     out += ';';
-}
-
-/** One disk-read attempt's outcome. */
-enum class ReadResult {
-    Hit,       ///< entry read and verified
-    Miss,      ///< absent, or a filename-hash collision
-    Corrupt,   ///< present but unparseable — deterministic, no retry
-    Transient, ///< I/O failure — retryable
-};
-
-/**
- * Read and verify one entry file.  Injected I/O faults
- * (sweep_cache.disk.read) surface as Transient so the retry policy
- * exercises the same path a flaky filesystem would.
- */
-ReadResult
-readEntry(const std::string &path, const std::string &key,
-          std::vector<double> &runtimes)
-{
-    if (faultPoint("sweep_cache.disk.read"))
-        return ReadResult::Transient;
-
-    std::ifstream is(path);
-    if (!is)
-        return ReadResult::Miss;
-
-    std::string magic, stored_key, payload;
-    if (!std::getline(is, magic) || magic != kFileMagic)
-        return ReadResult::Corrupt;
-    // The full key is stored and compared, so a 64-bit filename-hash
-    // collision degrades to a miss, never to wrong data.
-    if (!std::getline(is, stored_key))
-        return ReadResult::Corrupt;
-    if (stored_key != key)
-        return ReadResult::Miss;
-    if (!std::getline(is, payload))
-        return ReadResult::Corrupt;
-    std::optional<std::vector<double>> values =
-        gpu::parseRuntimes(payload);
-    if (!values)
-        return ReadResult::Corrupt;
-    runtimes = std::move(*values);
-    return ReadResult::Hit;
 }
 
 } // namespace
@@ -205,6 +136,7 @@ SweepCache::lookup(const std::string &key, std::vector<double> &runtimes)
         return false;
     }
 
+    std::shared_ptr<CensusJournal> disk;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = map_.find(key);
@@ -213,13 +145,13 @@ SweepCache::lookup(const std::string &key, std::vector<double> &runtimes)
             metrics.hits.inc();
             return true;
         }
+        disk = disk_;
     }
 
-    if (diskLookup(key, runtimes)) {
+    if (disk != nullptr && disk->lookup(key, runtimes)) {
         std::lock_guard<std::mutex> lock(mutex_);
         rememberLocked(key, runtimes);
         metrics.hits.inc();
-        metrics.disk_hits.inc();
         return true;
     }
 
@@ -233,11 +165,18 @@ SweepCache::insert(const std::string &key,
 {
     if (key.empty())
         return;
+    std::shared_ptr<CensusJournal> disk;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         rememberLocked(key, runtimes);
+        disk = disk_;
     }
-    diskInsert(key, runtimes);
+    if (disk != nullptr) {
+        // Flushed at once so other processes see the entry; the
+        // memory layer keeps it either way.
+        disk->record(key, runtimes);
+        disk->flush();
+    }
 }
 
 void
@@ -261,32 +200,32 @@ SweepCache::rememberLocked(const std::string &key,
 void
 SweepCache::setDirectory(const std::string &dir)
 {
+    std::shared_ptr<CensusJournal> disk;
     if (!dir.empty()) {
-        if (faultPoint("sweep_cache.dir")) {
-            warn("sweep cache: cannot create %s; disk tier "
-                 "disabled",
-                 dir.c_str());
-            obs::noteDegradation("sweep_cache.dir");
-            std::lock_guard<std::mutex> lock(mutex_);
-            dir_.clear();
-            return;
-        }
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-        fatal_if(ec, "cannot create sweep-cache directory %s: %s",
-                 dir.c_str(), ec.message().c_str());
+        // The keys carry the model and grid fingerprints, so the
+        // store pins neither.
+        disk = std::make_shared<CensusJournal>(dir, "*", "*",
+                                               diskRole());
+        if (!disk->active())
+            disk.reset();
     }
     std::lock_guard<std::mutex> lock(mutex_);
-    dir_ = dir;
+    disk_.swap(disk);
 }
 
 void
 SweepCache::clear()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-    fifo_.clear();
-    CacheMetrics::get().entries.set(0.0);
+    std::shared_ptr<CensusJournal> disk;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        map_.clear();
+        fifo_.clear();
+        CacheMetrics::get().entries.set(0.0);
+        disk = disk_;
+    }
+    if (disk != nullptr)
+        disk->reload();
 }
 
 size_t
@@ -294,106 +233,6 @@ SweepCache::entries() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return map_.size();
-}
-
-std::string
-SweepCache::diskPath(const std::string &key) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (dir_.empty())
-        return "";
-    char name[32];
-    std::snprintf(name, sizeof(name), "%016llx.sweep",
-                  static_cast<unsigned long long>(fnv1a(key)));
-    return dir_ + "/" + name;
-}
-
-bool
-SweepCache::diskLookup(const std::string &key,
-                       std::vector<double> &runtimes)
-{
-    const std::string path = diskPath(key);
-    if (path.empty())
-        return false;
-
-    CacheMetrics &metrics = CacheMetrics::get();
-    ReadResult result = ReadResult::Miss;
-    const bool settled = obs::retryWithBackoff(
-        obs::retryPolicy(), "sweep-cache disk read", [&] {
-            result = readEntry(path, key, runtimes);
-            return result != ReadResult::Transient;
-        });
-    if (!settled) {
-        // Retries exhausted on transient faults: the entry may be
-        // fine, but a census that waits on a broken disk is worse
-        // than one that recomputes 891 points.
-        metrics.read_degraded.inc();
-        obs::noteDegradation("sweep_cache.disk.read");
-        return false;
-    }
-    if (result == ReadResult::Corrupt) {
-        warn("sweep-cache: corrupt entry %s; discarding it",
-             path.c_str());
-        metrics.corrupt.inc();
-        obs::noteDegradation("sweep_cache.corrupt");
-        // Self-heal: the recompute's insert() rewrites the entry;
-        // removing the carcass now keeps a permanently-bad file from
-        // warning on every lookup if that write also fails.
-        std::remove(path.c_str());
-        return false;
-    }
-    return result == ReadResult::Hit;
-}
-
-void
-SweepCache::diskInsert(const std::string &key,
-                       const std::vector<double> &runtimes)
-{
-    const std::string path = diskPath(key);
-    if (path.empty())
-        return;
-
-    CacheMetrics &metrics = CacheMetrics::get();
-    // The staging name must be unique per writer: two processes
-    // sharing a cache directory and racing on the same key would
-    // otherwise interleave writes into one "<path>.tmp" file and
-    // rename a torn entry into place.  pid + a process-local counter
-    // keeps every writer (and every retry) on its own file, so the
-    // rename is the only shared step — and rename is atomic, so the
-    // survivor is always one writer's complete entry.
-    static std::atomic<uint64_t> tmp_serial{0};
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid()) + "." +
-        std::to_string(tmp_serial.fetch_add(1));
-    const bool ok = obs::retryWithBackoff(
-        obs::retryPolicy(), "sweep-cache disk write", [&] {
-            if (faultPoint("sweep_cache.disk.write"))
-                return false;
-            {
-                std::ofstream os(tmp);
-                if (!os)
-                    return false;
-                os << kFileMagic << '\n'
-                   << key << '\n'
-                   << gpu::serializeRuntimes(runtimes) << '\n';
-                if (!os)
-                    return false;
-            }
-            if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-                std::remove(tmp.c_str());
-                return false;
-            }
-            return true;
-        });
-    if (!ok) {
-        // The result lives on in memory; only cross-process reuse is
-        // lost.
-        warn("sweep-cache: giving up writing %s", path.c_str());
-        metrics.write_degraded.inc();
-        obs::noteDegradation("sweep_cache.disk.write");
-        return;
-    }
-    metrics.disk_writes.inc();
 }
 
 } // namespace harness

@@ -12,19 +12,15 @@
  *
  * Two layers:
  *  - an in-memory map (process lifetime, bounded FIFO), and
- *  - an optional on-disk directory (setDirectory()), which is what
- *    lets a *second CLI invocation* of the same sweep hit.
+ *  - an optional disk layer (setDirectory()), which is what lets a
+ *    *second CLI invocation* of the same sweep hit: the durable store
+ *    of checkpoint.hh in its own role (`<dir>/sweep-cache.journal`,
+ *    sweep_cache.* fault sites, sweep.cache.* counters).
  *
- * Doubles round-trip exactly through the disk layer
- * (gpu::serializeRuntimes / parseRuntimes), so a cache hit is bitwise
- * identical to the recompute it replaced.
- *
- * Disk failures never fail a sweep: transient I/O errors retry with
- * backoff (obs/retry.hh), then degrade — a read becomes a counted
- * miss, a write is dropped — and corrupt entries are discarded with a
- * warning (sweep.cache.{corrupt,read.degraded,write.degraded}).  The
- * sweep_cache.disk.{read,write} fault-injection sites test exactly
- * these paths (docs/fault_tolerance.md).
+ * Doubles round-trip as raw bits, so a cache hit is bitwise identical
+ * to the recompute it replaced.  Disk failures never fail a sweep:
+ * they retry, then degrade to a counted miss or a dropped write
+ * (docs/fault_tolerance.md).
  */
 
 #ifndef GPUSCALE_HARNESS_SWEEP_CACHE_HH
@@ -32,6 +28,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -43,6 +40,8 @@
 
 namespace gpuscale {
 namespace harness {
+
+class CensusJournal;
 
 /** Process-wide cache of sweep runtime vectors. */
 class SweepCache
@@ -75,13 +74,16 @@ class SweepCache
 
     /**
      * Attach a disk layer rooted at `dir` (created if missing); an
-     * empty string detaches it.  Entries are one file per key, written
-     * atomically (temp + rename), so concurrent processes sharing a
-     * directory never read torn files.
+     * empty string detaches it.  Each insert is flushed at once, under
+     * the store's file lock, so processes sharing a directory never
+     * read torn records.
      */
     void setDirectory(const std::string &dir);
 
-    /** Drop every in-memory entry (the disk layer is untouched). */
+    /**
+     * Drop every in-memory entry and re-read the disk layer's index,
+     * so entries other processes appended since become visible.
+     */
     void clear();
 
     /** In-memory entry count. */
@@ -90,11 +92,6 @@ class SweepCache
   private:
     SweepCache() = default;
 
-    bool diskLookup(const std::string &key,
-                    std::vector<double> &runtimes);
-    void diskInsert(const std::string &key,
-                    const std::vector<double> &runtimes);
-    std::string diskPath(const std::string &key) const;
     void rememberLocked(const std::string &key,
                         const std::vector<double> &runtimes);
 
@@ -113,8 +110,10 @@ class SweepCache
     std::unordered_map<std::string, std::vector<double>> map_;
     // guarded_by(mutex_)
     std::deque<std::string> fifo_;
+    // The disk layer; lookups and inserts copy the pointer and use
+    // the store outside mutex_.
     // guarded_by(mutex_)
-    std::string dir_;
+    std::shared_ptr<CensusJournal> disk_;
 };
 
 } // namespace harness

@@ -235,6 +235,15 @@ JsonValue::at(const std::string &k) const
 
 namespace {
 
+/**
+ * Deepest nesting parseJson() accepts.  The parser recurses once per
+ * level, and gpuscaled hands it untrusted request lines: without a
+ * cap, a line of 50,000 '[' overflows a connection thread's stack.
+ * The deepest document the repo writes (snapshots, manifests,
+ * protocol frames) nests 4 levels.
+ */
+constexpr size_t kMaxDepth = 256;
+
 /** Recursive-descent JSON parser over a string view. */
 class Parser
 {
@@ -300,10 +309,14 @@ class Parser
     {
         skipWs();
         const char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
+        if (c == '{' || c == '[') {
+            if (++depth_ > kMaxDepth)
+                fail("nesting deeper than " +
+                     std::to_string(kMaxDepth) + " levels");
+            JsonValue v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+        }
         if (c == '"') {
             JsonValue v;
             v.type = JsonValue::Type::String;
@@ -484,6 +497,7 @@ class Parser
 
     const std::string &text_;
     size_t pos_ = 0;
+    size_t depth_ = 0;
 };
 
 } // namespace

@@ -107,7 +107,9 @@ struct JsonValue {
 };
 
 /**
- * Parse a complete JSON document.
+ * Parse a complete JSON document.  Nesting deeper than 256 levels is
+ * malformed: the parser recurses per level, and daemon request frames
+ * are untrusted.
  *
  * @throw std::runtime_error on malformed input (with offset info).
  */

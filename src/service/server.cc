@@ -485,6 +485,18 @@ Service::connectionLoop(Connection *conn)
 
     while (true) {
         const size_t nl = buf.find('\n');
+        if ((nl == std::string::npos ? buf.size() : nl) > kMaxFrameBytes) {
+            // The rest of the line cannot be framed; answer and hang up.
+            ServiceMetrics::get().errors.inc();
+            writeFrame(conn->fd,
+                       renderError(0, ErrorCode::BadRequest,
+                                   "request frame longer than " +
+                                       std::to_string(kMaxFrameBytes) +
+                                       " bytes"),
+                       deadlineFromMs(steady_clock::now(),
+                                      opts_.default_deadline_ms));
+            break;
+        }
         if (nl == std::string::npos) {
             // Injection site: a fired fault models one failed recv;
             // the round is retried like EINTR.  A wall of

@@ -123,6 +123,13 @@ class Service
 
     const ServiceOptions &options() const { return opts_; }
 
+    /**
+     * Longest request line a connection buffers.  A longer one gets
+     * BAD_REQUEST and the connection is closed; real requests are
+     * under 1 KB.
+     */
+    static constexpr size_t kMaxFrameBytes = 1 << 20;
+
   private:
     struct Connection;
 

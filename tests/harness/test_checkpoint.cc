@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -97,6 +100,51 @@ TEST(Checkpoint, RoundTripReplaysBitwise)
     }
     EXPECT_EQ(counterValue("checkpoint.replayed"),
               replayed0 + sampleRecords().size());
+}
+
+TEST(Checkpoint, RecordsLargerThanTheLoadWindowReplay)
+{
+    // A load streams the file through a bounded window; bodies far
+    // larger than it, between small records, must replay bitwise.
+    test::ScopedTempDir dir("ckpt_large");
+    std::vector<double> big(100000);
+    for (size_t i = 0; i < big.size(); ++i)
+        big[i] = 1.0 / static_cast<double>(i + 1);
+    {
+        harness::CensusJournal journal(dir.path(), "m1", "g1");
+        journal.record("small-1", {1.0});
+        journal.record("big-1", big);
+        journal.record("small-2", {2.0});
+        journal.record("big-2", big);
+    }
+    harness::CensusJournal reopened(dir.path(), "m1", "g1");
+    EXPECT_EQ(reopened.loadedRecords(), 4u);
+    std::vector<double> out;
+    ASSERT_TRUE(reopened.lookup("big-2", out));
+    EXPECT_EQ(out, big);
+    ASSERT_TRUE(reopened.lookup("small-2", out));
+    EXPECT_EQ(out, std::vector<double>{2.0});
+}
+
+TEST(Checkpoint, LookupRechecksABodyDiscardedUnderItsIndex)
+{
+    // The index keeps offsets, not vectors: once another open with a
+    // different model rewrote the file, those offsets hold other
+    // bytes, and a lookup must miss rather than return them.
+    test::ScopedTempDir dir("ckpt_recheck");
+    writeSampleJournal(dir.path());
+    harness::CensusJournal stale(dir.path(), "m1", "g1");
+    ASSERT_EQ(stale.loadedRecords(), sampleRecords().size());
+    {
+        harness::CensusJournal other(dir.path(), "m2", "g1");
+        other.record("zzz", std::vector<double>(64, 9.0));
+    }
+
+    const uint64_t corrupt0 = counterValue("checkpoint.corrupt");
+    std::vector<double> out;
+    EXPECT_FALSE(stale.lookup("aaa", out));
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(counterValue("checkpoint.corrupt"), corrupt0 + 1);
 }
 
 TEST(Checkpoint, HeaderMismatchDiscardsTheJournal)
@@ -202,6 +250,63 @@ TEST(Checkpoint, TornTailStopsReplayAndKeepsThePrefix)
     EXPECT_TRUE(reopened.lookup("bbb", out));
     EXPECT_FALSE(reopened.lookup("ccc", out));
     EXPECT_EQ(counterValue("checkpoint.corrupt"), corrupt0 + 1);
+}
+
+TEST(Checkpoint, RecordsAppendedAfterATornTailReplay)
+{
+    test::ScopedTempDir dir("ckpt_torn_append");
+    writeSampleJournal(dir.path());
+    const std::string path = dir.path() + "/census.journal";
+    std::string content = readFile(path);
+    ASSERT_GT(content.size(), 5u);
+    writeFile(path, content.substr(0, content.size() - 5));
+
+    // The resumed run re-records the torn kernel and a new one.  They
+    // must land where the next load can reach them, not after the
+    // torn bytes.
+    {
+        harness::CensusJournal resumed(dir.path(), "m1", "g1");
+        ASSERT_EQ(resumed.loadedRecords(), 2u);
+        resumed.record("ccc", sampleRecords()[2].second);
+        resumed.record("ddd", {5.0, 6.0});
+    }
+
+    harness::CensusJournal reopened(dir.path(), "m1", "g1");
+    EXPECT_EQ(reopened.loadedRecords(), 4u);
+    std::vector<double> out;
+    EXPECT_TRUE(reopened.lookup("ccc", out));
+    EXPECT_EQ(out, sampleRecords()[2].second);
+    EXPECT_TRUE(reopened.lookup("ddd", out));
+    EXPECT_EQ(out, (std::vector<double>{5.0, 6.0}));
+}
+
+TEST(Checkpoint, ProcessesSharingAFileNeverSeeATornRecord)
+{
+    // A reader loading while another process appends multi-megabyte
+    // records must wait for each record to land whole: were it to see
+    // half of one, it would count it corrupt and cut the file there.
+    test::ScopedTempDir dir("ckpt_two_process");
+    const std::vector<double> big(1 << 19, 1.5);
+    constexpr int kRecords = 8;
+    const pid_t writer = ::fork();
+    ASSERT_NE(writer, -1);
+    if (writer == 0) {
+        harness::CensusJournal journal(dir.path(), "m1", "g1");
+        for (int i = 0; i < kRecords; ++i) {
+            journal.record("k" + std::to_string(i), big);
+            journal.flush();
+        }
+        ::_exit(0);
+    }
+
+    const uint64_t corrupt0 = counterValue("checkpoint.corrupt");
+    int status = -1;
+    while (::waitpid(writer, &status, WNOHANG) == 0)
+        harness::CensusJournal reader(dir.path(), "m1", "g1");
+    EXPECT_EQ(status, 0);
+    EXPECT_EQ(counterValue("checkpoint.corrupt"), corrupt0);
+    harness::CensusJournal reader(dir.path(), "m1", "g1");
+    EXPECT_EQ(reader.loadedRecords(), static_cast<size_t>(kRecords));
 }
 
 } // namespace

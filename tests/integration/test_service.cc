@@ -8,7 +8,11 @@
  *     response — success, typed error, or RETRY_AFTER — no hangs and
  *     no torn frames, and a SIGTERM drain still exits cleanly.
  *
- *  2. Kill/resume: a SIGKILLed service loading the journaled paper
+ *  2. Hostile frames: a 200 kB line of '[' and a line past the frame
+ *     cap each get a typed BAD_REQUEST, and the daemon keeps
+ *     answering health.
+ *
+ *  3. Kill/resume: a SIGKILLed service loading the journaled paper
  *     census resumes on restart — health reports replayed records —
  *     and every kernel classified over the socket is bitwise
  *     identical to an uninterrupted in-process census.
@@ -246,6 +250,66 @@ TEST(ServiceSaturation, FaultMatrixShedsTypedAndNeverHangs)
               kThreads * kCallsPerThread / 2);
 
     // SIGTERM: drain must finish promptly and exit clean.
+    ASSERT_EQ(::kill(child, SIGTERM), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status))
+        << "daemon died of signal " << WTERMSIG(status);
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+// Declaration order again: forks before KilledServiceResumesBitwise.
+TEST(ServiceHostileFrames, DeepNestingAndOverlongLinesGetBadRequest)
+{
+    test::ScopedTempDir dir("svc_hostile");
+    const std::string socket_path = dir.sub("gpuscaled.sock");
+
+    const pid_t child = fork();
+    ASSERT_NE(child, -1);
+    if (child == 0) {
+        service::ServiceOptions opts;
+        opts.socket_path = socket_path;
+        opts.test_grid = true;
+        const gpu::AnalyticModel model;
+        service::Service svc(opts, model);
+        if (!svc.start())
+            _exit(10);
+        svc.installSignalDrain();
+        svc.loadCensus();
+        svc.serve();
+        _exit(0);
+    }
+
+    const std::string health = "{\"id\":1,\"op\":\"health\"}";
+    const auto errorCode = [](const std::string &frame) {
+        const auto doc = parseFrame(frame);
+        return doc.isObject() && !doc.at("ok").boolean
+                   ? doc.at("error").at("code").str
+                   : std::string();
+    };
+    service::Client client(socket_path);
+    ASSERT_TRUE(client.connect(10000.0));
+
+    // The reproducer: this line used to overflow the JSON parser's
+    // stack and kill the daemon with SIGSEGV.
+    std::string resp;
+    ASSERT_TRUE(client.call(std::string(200 * 1000, '['), 10000.0, &resp));
+    EXPECT_EQ(errorCode(resp), "BAD_REQUEST");
+    ASSERT_TRUE(client.call(health, 10000.0, &resp));
+    EXPECT_TRUE(parseFrame(resp).at("ok").boolean);
+
+    // One byte past the frame cap: answered, then hung up on.
+    ASSERT_TRUE(client.call(
+        std::string(service::Service::kMaxFrameBytes + 1, 'x'), 10000.0,
+        &resp));
+    EXPECT_EQ(errorCode(resp), "BAD_REQUEST");
+    EXPECT_FALSE(client.call(health, 2000.0, &resp));
+
+    service::Client fresh(socket_path);
+    ASSERT_TRUE(fresh.connect(10000.0));
+    ASSERT_TRUE(fresh.call(health, 10000.0, &resp));
+    EXPECT_TRUE(parseFrame(resp).at("ok").boolean);
+
     ASSERT_EQ(::kill(child, SIGTERM), 0);
     int status = 0;
     ASSERT_EQ(::waitpid(child, &status, 0), child);

@@ -102,6 +102,17 @@ TEST(JsonParserTest, RejectsMalformedInput)
     EXPECT_THROW(parseJson("\"unterminated"), std::runtime_error);
 }
 
+TEST(JsonParserTest, RejectsNestingPastTheDepthCap)
+{
+    // Recursion per level: this many would overflow the stack.
+    EXPECT_THROW(parseJson(std::string(100000, '[')), std::runtime_error);
+    EXPECT_THROW(parseJson(std::string(257, '[') + std::string(257, ']')),
+                 std::runtime_error);
+    const JsonValue deep =
+        parseJson(std::string(256, '[') + std::string(256, ']'));
+    EXPECT_TRUE(deep.isArray());
+}
+
 TEST(JsonLocaleTest, NumbersRoundTripUnderCommaDecimalLocale)
 {
     // Under a comma-decimal LC_NUMERIC locale, printf-family "%g"

@@ -80,6 +80,9 @@ TEST(Protocol, RejectsMalformedFrames)
     EXPECT_NE(rejectReason("{\"op\":\"x\",\"client\":9}")
                   .find("client"),
               std::string::npos);
+    // Nesting past the parser's depth cap, not a stack overflow.
+    EXPECT_NE(rejectReason(std::string(100000, '[')).find("nesting"),
+              std::string::npos);
 }
 
 TEST(Protocol, ResultFrameRoundTrips)
