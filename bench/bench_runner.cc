@@ -9,7 +9,10 @@
  * vectorized clock-pair kernel), and a warm repeat that exercises the
  * sweep cache, then emits BENCH_census.json so CI can archive wall
  * time, estimates/s, thread count, speedups, and cache hit rate per
- * commit.
+ * commit.  The same file records harness_vs_bare_1t (the pooled
+ * sweep over the bare one-thread model) next to a calibration of how
+ * many cores the run actually had, so a thread-scaling figure can be
+ * read against the machine it ran on.
  *
  * Also times the census with a crash-safe checkpoint journal attached
  * and emits BENCH_resilience.json; the journal's write overhead vs
@@ -63,6 +66,7 @@
 #include "bench_common.hh"
 #include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
+#include "harness/parallel.hh"
 #include "harness/sparse.hh"
 #include "harness/sweep.hh"
 #include "harness/sweep_cache.hh"
@@ -88,6 +92,23 @@ struct RunnerOptions {
 };
 
 using bench::writeTiming;
+
+/** Work items of the core-count calibration. */
+constexpr size_t kCalibrationChunks = 64;
+
+/**
+ * One calibration work item: a dependent multiply-add chain that
+ * stays in registers, so it measures cores, not memory.  All
+ * kCalibrationChunks of them take about 100 ms on one core.
+ */
+double
+calibrationChunk(size_t chunk)
+{
+    double x = 1.0 + 1e-3 * static_cast<double>(chunk);
+    for (int i = 0; i < 600000; ++i)
+        x = x * 0.999999 + 1e-6;
+    return x;
+}
 
 int
 run(const RunnerOptions &opts)
@@ -171,6 +192,13 @@ run(const RunnerOptions &opts)
                 estimates / batched_single.min_s);
     std::printf("single-core speedup: %.2fx (gate: >= 8x)\n",
                 speedup_single_core);
+    // Below 1 the pooled harness beats the bare model on one thread;
+    // above 1 the harness costs more than the threads win.
+    const double harness_vs_bare_1t =
+        batched_single.min_s > 0 ? batched.min_s / batched_single.min_s
+                                 : 0.0;
+    std::printf("harness vs bare 1-thread model: %.2fx\n",
+                harness_vs_bare_1t);
 
     //
     // 2c. Stage split: stages 1-2 hoist kernel invariants and per-CU
@@ -204,6 +232,32 @@ run(const RunnerOptions &opts)
                 "(%.1f ns/point)\n",
                 stage3.min_s, stage3.runs,
                 stage3.min_s / estimates * 1e9);
+
+    //
+    // 2d. Calibration: the same fixed compute work on this thread and
+    //     then across the pool.  The ratio is how many cores this run
+    //     had; a thread-scaling figure means little without it.
+    //
+    std::vector<double> calibration_sink(kCalibrationChunks);
+    const bench::TimingStats calib_serial =
+        bench::minOfN(std::min(opts.warmup, 1), opts.runs, [&] {
+            for (size_t c = 0; c < kCalibrationChunks; ++c)
+                calibration_sink[c] = calibrationChunk(c);
+        });
+    const bench::TimingStats calib_pool =
+        bench::minOfN(std::min(opts.warmup, 1), opts.runs, [&] {
+            harness::parallelFor(kCalibrationChunks, [&](size_t c) {
+                calibration_sink[c] = calibrationChunk(c);
+            });
+        });
+    fatal_if(calibration_sink.back() <= 0,
+             "calibration loop produced nothing");
+    const double effective_cores =
+        calib_pool.min_s > 0 ? calib_serial.min_s / calib_pool.min_s
+                             : 0.0;
+    std::printf("calibration: %.4f s on 1 thread, %.4f s on the pool "
+                "(%.2f effective cores)\n",
+                calib_serial.min_s, calib_pool.min_s, effective_cores);
 
     //
     // 3. Warm repeat: every sweep should be served by the cache the
@@ -309,6 +363,16 @@ run(const RunnerOptions &opts)
     w.key("stage3_kernel");
     writeTiming(w, stage3, estimates);
     w.key("speedup_single_core").value(speedup_single_core);
+    w.key("harness_vs_bare_1t").value(harness_vs_bare_1t);
+    w.key("calibration");
+    w.beginObject();
+    w.key("effective_cores").value(effective_cores);
+    w.key("serial_min_s").value(calib_serial.min_s);
+    w.key("serial_max_s").value(calib_serial.max_s);
+    w.key("pool_min_s").value(calib_pool.min_s);
+    w.key("pool_max_s").value(calib_pool.max_s);
+    w.key("runs").value(calib_serial.runs);
+    w.endObject();
     w.key("cache");
     w.beginObject();
     w.key("warm_run_s").value(warm.min_s);

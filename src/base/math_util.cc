@@ -124,7 +124,8 @@ percentile(std::span<const double> v, double p)
     // statistic at lo with nothing smaller after it, so the hi-th is
     // the minimum of [hi, n).  These are the two values a sorted copy
     // holds at lo and hi, so the interpolation is bitwise the same.
-    std::vector<double> work(v.begin(), v.end());
+    thread_local std::vector<double> work;
+    work.assign(v.begin(), v.end());
     std::nth_element(work.begin(), work.begin() + lo, work.end());
     const double at_hi = *std::min_element(work.begin() + hi, work.end());
     return work[lo] * (1.0 - frac) + at_hi * frac;
@@ -190,20 +191,6 @@ normalize01(std::span<const double> v)
         return out;
     for (size_t i = 0; i < v.size(); ++i)
         out[i] = (v[i] - mn) / (mx - mn);
-    return out;
-}
-
-std::vector<double>
-medianFilter3(std::span<const double> v)
-{
-    std::vector<double> out(v.begin(), v.end());
-    if (v.size() < 3)
-        return out;
-    for (size_t i = 1; i + 1 < v.size(); ++i) {
-        const double a = v[i - 1], b = v[i], c = v[i + 1];
-        out[i] = std::max(std::min(a, b),
-                          std::min(std::max(a, b), c));
-    }
     return out;
 }
 

@@ -50,6 +50,8 @@ double geomean(std::span<const double> v);
  * Linear-interpolated percentile, p in [0, 100].  Linear time: the two
  * order statistics it interpolates between are found by selection on
  * a copy of the span, and equal what a full sort would place there.
+ * The copy goes into a per-thread buffer that keeps its capacity, so
+ * repeated calls on spans of one size allocate nothing.
  */
 double percentile(std::span<const double> v, double p);
 
@@ -73,14 +75,6 @@ std::vector<double> normalizeToFirst(std::span<const double> v);
 
 /** Scale values into [0, 1] by min/max; constant input maps to 0. */
 std::vector<double> normalize01(std::span<const double> v);
-
-/**
- * 3-point median filter with copied endpoints; the standard light
- * smoothing for measured curves (kills single-sample outliers without
- * moving plateaus or knees).  Inputs shorter than 3 are returned
- * unchanged.
- */
-std::vector<double> medianFilter3(std::span<const double> v);
 
 /** Index of the maximum element; requires a non-empty span. */
 size_t argmax(std::span<const double> v);

@@ -145,9 +145,10 @@ computeCoreTerms(const KernelTerms &kt, const CuTerms &cu,
 }
 
 /**
- * Everything stage 3 consumes, hoisted flat.  Built by
- * AnalyticModel::prepareBatch(); axis vectors are indexed like
- * GridPlanes.
+ * Everything stage 3 consumes, hoisted flat.  Filled by
+ * AnalyticModel::prepareBatch() and, into a per-thread plan, by
+ * evaluateGridRuntimes(); each axis vector is indexed by the grid's
+ * index on that axis.
  */
 struct BatchPlan {
     /** Stage-1 kernel invariants. */

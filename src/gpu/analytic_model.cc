@@ -388,12 +388,17 @@ AnalyticModel::estimate(const KernelDesc &kernel,
     return estimatePoint(kernel, cfg, inv, cu, serial_cu);
 }
 
-batch::BatchPlan
-AnalyticModel::buildPlan(const KernelDesc &kernel,
-                         const ConfigGrid &grid, const Invariants &inv,
-                         std::vector<CuState> *states) const
+void
+AnalyticModel::fillPlan(const KernelDesc &kernel, const ConfigGrid &grid,
+                        batch::BatchPlan &plan,
+                        std::vector<CuState> *states) const
 {
-    batch::BatchPlan plan;
+    kernel.validate();
+    grid.validate();
+    // Any grid point supplies the fixed microarchitecture parameters.
+    const GpuConfig arch = grid.at(0, 0, 0);
+    const Invariants inv = computeInvariants(kernel, arch);
+
     plan.kernel = kernelTerms(inv);
     plan.has_serial = kernel.serial_fraction > 0.0;
     plan.serial_fraction = kernel.serial_fraction;
@@ -401,29 +406,46 @@ AnalyticModel::buildPlan(const KernelDesc &kernel,
     plan.launches = inv.launches;
     plan.total_flops = inv.total_flops;
 
-    const GridPlanes planes = grid.planes();
-    plan.core_clk_hz = planes.core_clk_hz;
-    plan.atomic_rate = planes.atomic_rate;
-    plan.l2_hop_s = planes.l2_hop_s;
-    plan.dram_hop_s = planes.dram_hop_s;
-    plan.dram_bw = planes.dram_bw;
-    plan.core_time_s.reserve(planes.core_clk_hz.size());
-    for (const double clk : planes.core_clk_hz) {
-        plan.core_time_s.push_back(inv.compute_cycles_per_wave / clk +
-                                   inv.barrier_cycles / clk);
+    // Per core-clock value: the clock-domain terms of the base
+    // configuration at that clock.
+    const size_t n_core = grid.numCoreClk();
+    plan.core_clk_hz.resize(n_core);
+    plan.core_time_s.resize(n_core);
+    plan.atomic_rate.resize(n_core);
+    plan.l2_hop_s.resize(n_core);
+    plan.dram_hop_s.resize(n_core);
+    for (size_t c = 0; c < n_core; ++c) {
+        GpuConfig cfg = grid.base;
+        cfg.core_clk_mhz = grid.core_clks_mhz[c];
+        const ClockTerms t = computeClockTerms(cfg);
+        plan.core_clk_hz[c] = t.clk_hz;
+        plan.core_time_s[c] = inv.compute_cycles_per_wave / t.clk_hz +
+                              inv.barrier_cycles / t.clk_hz;
+        plan.atomic_rate[c] = t.atomic_rate;
+        plan.l2_hop_s[c] = t.l2_hop_s;
+        plan.dram_hop_s[c] = t.dram_hop_s;
     }
 
-    // Any grid point supplies the fixed microarchitecture parameters.
-    const GpuConfig arch = grid.at(0, 0, 0);
-    plan.cu.reserve(grid.numCu());
-    if (states)
+    // Per memory-clock value.
+    plan.dram_bw.resize(grid.numMemClk());
+    for (size_t m = 0; m < grid.numMemClk(); ++m) {
+        GpuConfig cfg = grid.base;
+        cfg.mem_clk_mhz = grid.mem_clks_mhz[m];
+        plan.dram_bw[m] = cfg.effectiveDramBw();
+    }
+
+    plan.cu.resize(grid.numCu());
+    if (states) {
+        states->clear();
         states->reserve(grid.numCu());
+    }
     for (size_t cu_i = 0; cu_i < grid.numCu(); ++cu_i) {
         // Occupancy, cache, quantization, dispatch: once per CU
         // setting, reused across all clock pairs.
         const CuState cu =
             computeCuState(kernel, grid.at(cu_i, 0, 0), inv);
-        plan.cu.push_back(makeCuTerms(inv, cu, planes.cu[cu_i], arch));
+        const CuUnits units = computeCuUnits(grid.cu_values[cu_i], grid.base);
+        plan.cu[cu_i] = makeCuTerms(inv, cu, units, arch);
         if (cu_i == 0)
             plan.launch_overhead_s = cu.disp.launch_overhead_s;
         if (states)
@@ -431,7 +453,9 @@ AnalyticModel::buildPlan(const KernelDesc &kernel,
     }
 
     // The Amdahl phase always runs on a one-CU machine, so its
-    // clock-independent state is shared by the entire grid.
+    // clock-independent state is shared by the entire grid.  A reused
+    // plan must not keep the previous kernel's serial machine.
+    plan.serial_cu = batch::CuTerms{};
     if (plan.has_serial) {
         GpuConfig one_cu = arch;
         one_cu.num_cus = 1;
@@ -439,17 +463,15 @@ AnalyticModel::buildPlan(const KernelDesc &kernel,
         plan.serial_cu =
             makeCuTerms(inv, serial_cu, computeCuUnits(1, arch), arch);
     }
-    return plan;
 }
 
 batch::BatchPlan
 AnalyticModel::prepareBatch(const KernelDesc &kernel,
                             const ConfigGrid &grid) const
 {
-    kernel.validate();
-    grid.validate();
-    const Invariants inv = computeInvariants(kernel, grid.at(0, 0, 0));
-    return buildPlan(kernel, grid, inv, nullptr);
+    batch::BatchPlan plan;
+    fillPlan(kernel, grid, plan, nullptr);
+    return plan;
 }
 
 std::vector<double>
@@ -467,7 +489,10 @@ AnalyticModel::evaluateGridRuntimes(const KernelDesc &kernel,
     evaluations.inc(grid.size());
     batches.inc();
 
-    const batch::BatchPlan plan = prepareBatch(kernel, grid);
+    // One plan per thread, refilled in full by every call: once its
+    // vectors have the grid's shape, stages 1-2 allocate nothing.
+    thread_local batch::BatchPlan plan;
+    fillPlan(kernel, grid, plan, nullptr);
     std::vector<double> out(grid.size());
     batch::runBatch(plan, out.data());
     return out;
@@ -488,17 +513,14 @@ AnalyticModel::evaluateGrid(const KernelDesc &kernel,
     evaluations.inc(grid.size());
     batches.inc();
 
-    kernel.validate();
-    grid.validate();
-    const Invariants inv = computeInvariants(kernel, grid.at(0, 0, 0));
-
     // Reconstitute full KernelPerf rows from the same flat plan the
     // runtimes path feeds to batch::runBatch(): the roofline terms
     // hoist to the (CU, core clock) level, the per-point work is the
     // memory-clock arithmetic plus assemblePoint(), and the
     // occupancy/cache snapshots come from the retained CuStates.
+    batch::BatchPlan plan;
     std::vector<CuState> states;
-    const batch::BatchPlan plan = buildPlan(kernel, grid, inv, &states);
+    fillPlan(kernel, grid, plan, &states);
 
     // The DRAM model depends only on the memory clock: one instance
     // per axis value, shared by every row.

@@ -81,11 +81,12 @@ class AnalyticModel : public PerfModel
         const ConfigGrid &grid) const override;
 
     /**
-     * The runtimes-only hot path: stages 1-2 via prepareBatch(),
-     * stage 3 via batch::runBatch() straight into the flat result —
-     * no KernelPerf materialization at all.  This is what the sweep
-     * harness calls and what the >= 8x single-core bench gate
-     * measures.
+     * The runtimes-only hot path: stages 1-2 into a per-thread plan
+     * whose vectors keep their capacity from call to call (so a warm
+     * thread allocates nothing there), stage 3 via batch::runBatch()
+     * straight into the flat result — no KernelPerf materialization
+     * at all.  This is what the sweep harness calls and what the
+     * >= 8x single-core bench gate measures.
      */
     std::vector<double> evaluateGridRuntimes(
         const KernelDesc &kernel,
@@ -94,7 +95,8 @@ class AnalyticModel : public PerfModel
     /**
      * Stages 1-2: validate, hoist the kernel invariants and per-CU
      * state, and lay them out flat for batch::runBatch().  Public so
-     * the bench harness can time the stages separately.
+     * the bench harness can time the stages separately; the same
+     * fill evaluateGridRuntimes() runs, into a fresh plan.
      */
     batch::BatchPlan prepareBatch(const KernelDesc &kernel,
                                   const ConfigGrid &grid) const;
@@ -135,14 +137,15 @@ class AnalyticModel : public PerfModel
                                const GpuConfig &arch) const;
 
     /**
-     * Stages 1-2 with the CuStates kept: evaluateGrid() needs the
-     * occupancy/cache snapshots for the reconstituted KernelPerf
-     * rows, prepareBatch() discards them.
+     * Stages 1-2: validate, then refill every field of `plan`.  Its
+     * vectors are resized in place, so a reused plan allocates
+     * nothing once it has seen the grid's shape.  With `states` the
+     * CuStates are kept too: evaluateGrid() needs the occupancy and
+     * cache snapshots for the reconstituted KernelPerf rows.
      */
-    batch::BatchPlan buildPlan(const KernelDesc &kernel,
-                               const ConfigGrid &grid,
-                               const Invariants &inv,
-                               std::vector<CuState> *states) const;
+    void fillPlan(const KernelDesc &kernel, const ConfigGrid &grid,
+                  batch::BatchPlan &plan,
+                  std::vector<CuState> *states) const;
 
     /**
      * Full single-point estimate from precomputed stages.  `serial_cu`

@@ -119,39 +119,6 @@ ConfigGrid::validate() const
     at(numCu() - 1, numCoreClk() - 1, numMemClk() - 1).validate();
 }
 
-GridPlanes
-ConfigGrid::planes() const
-{
-    GridPlanes p;
-    p.cu.reserve(numCu());
-    for (const int cu : cu_values)
-        p.cu.push_back(computeCuUnits(cu, base));
-
-    p.core_clk_hz.reserve(numCoreClk());
-    p.atomic_rate.reserve(numCoreClk());
-    p.l2_hop_s.reserve(numCoreClk());
-    p.dram_hop_s.reserve(numCoreClk());
-    for (const double mhz : core_clks_mhz) {
-        GpuConfig cfg = base;
-        cfg.core_clk_mhz = mhz;
-        const ClockTerms t = computeClockTerms(cfg);
-        p.core_clk_hz.push_back(t.clk_hz);
-        p.atomic_rate.push_back(t.atomic_rate);
-        p.l2_hop_s.push_back(t.l2_hop_s);
-        p.dram_hop_s.push_back(t.dram_hop_s);
-    }
-
-    p.mem_clk_hz.reserve(numMemClk());
-    p.dram_bw.reserve(numMemClk());
-    for (const double mhz : mem_clks_mhz) {
-        GpuConfig cfg = base;
-        cfg.mem_clk_mhz = mhz;
-        p.mem_clk_hz.push_back(cfg.memClkHz());
-        p.dram_bw.push_back(cfg.effectiveDramBw());
-    }
-    return p;
-}
-
 std::string
 ConfigGrid::fingerprint() const
 {

@@ -36,8 +36,8 @@ namespace gpu {
  * scalar path performs when it computes e.g. GpuConfig::peakL1Bw()
  * directly.  That, plus the monotonicity of IEEE multiplication
  * (min(a, b) * clk == min(a * clk, b * clk) for positive clk), is
- * what keeps the plane-based batched walk bitwise identical to the
- * scalar one.
+ * what keeps the batched walk, which hoists one CuUnits per CU value,
+ * bitwise identical to the scalar one.
  */
 struct CuUnits {
     /** num_cus as a double. */
@@ -82,29 +82,6 @@ CuUnits computeCuUnits(int num_cus, const GpuConfig &arch);
 /** Derive the core-clock-domain values for a configuration. */
 ClockTerms computeClockTerms(const GpuConfig &cfg);
 
-/**
- * Structure-of-arrays view of a grid: per-axis value arrays plus the
- * derived per-CU and per-clock vectors, ready for a flat batched
- * walk.  Materialized by ConfigGrid::planes(); each vector is indexed
- * by the corresponding axis index.
- */
-struct GridPlanes {
-    /** Per CU-axis value (CuUnits each). */
-    std::vector<CuUnits> cu;
-
-    /** Per core-clock axis value. @{ */
-    std::vector<double> core_clk_hz;
-    std::vector<double> atomic_rate;
-    std::vector<double> l2_hop_s;
-    std::vector<double> dram_hop_s;
-    /** @} */
-
-    /** Per memory-clock axis value. @{ */
-    std::vector<double> mem_clk_hz;
-    std::vector<double> dram_bw;
-    /** @} */
-};
-
 /** A dense (compute units x core clock x memory clock) grid. */
 struct ConfigGrid {
     /** Compute-unit axis, strictly increasing. */
@@ -132,13 +109,6 @@ struct ConfigGrid {
 
     /** fatal() if an axis is empty, unsorted, or a point is invalid. */
     void validate() const;
-
-    /**
-     * Materialize the structure-of-arrays plane view.  Cheap (one
-     * CuUnits/ClockTerms derivation per axis *value*, not per grid
-     * point); call it fresh per batched evaluation.
-     */
-    GridPlanes planes() const;
 
     /**
      * Locale-independent serialization of the axes and the base

@@ -8,13 +8,17 @@
  * vector directly — no KernelPerf materialization), consulted
  * through the SweepCache first, and kernels are distributed across
  * the worker pool in contiguous shards rather than one dispatch per
- * kernel.  The flat vector feeds the sweep cache as-is.
+ * kernel.  The flat vector becomes one immutable shared vector that
+ * the sweep cache and the kernel's ScalingSurface both hold, so it is
+ * never copied; keys come from model and grid fingerprints taken
+ * once per sweepKernels() call.
  */
 
 #include "sweep.hh"
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "base/fault.hh"
@@ -70,12 +74,13 @@ struct SweepMetrics {
 /**
  * Sweep one kernel over the whole grid: one cache probe under its
  * SweepCache::keyFor key, then one batched model evaluation on a
- * miss.  The per-estimate latency histogram is fed the batch's
- * amortized per-point cost, and sweep.estimates.count advances only
- * for estimates actually computed (cache hits are free and are
- * counted by sweep.cache.hits).
+ * miss.  The vector returned is the one the cache holds (none is
+ * held for an uncacheable model), never a copy.  The per-estimate
+ * latency histogram is fed the batch's amortized per-point cost, and
+ * sweep.estimates.count advances only for estimates actually computed
+ * (cache hits are free and are counted by sweep.cache.hits).
  */
-std::vector<double>
+SweepCache::Runtimes
 sweepOne(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
          const gpu::ConfigGrid &grid, const std::string &key)
 {
@@ -87,25 +92,27 @@ sweepOne(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
     // models a crashing worker.
     faultPoint("sweep.kernel");
 
-    std::vector<double> runtimes;
-    if (SweepCache::instance().lookup(key, runtimes)) {
+    SweepCache &cache = SweepCache::instance();
+    if (SweepCache::Runtimes hit = cache.lookupShared(key)) {
         debuglog("swept %s: %zu configs (cached)", kernel.name.c_str(),
-                 runtimes.size());
-        return runtimes;
+                 hit->size());
+        return hit;
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    runtimes = model.evaluateGridRuntimes(kernel, grid);
+    SweepCache::Runtimes runtimes =
+        std::make_shared<const std::vector<double>>(
+            model.evaluateGridRuntimes(kernel, grid));
     const auto t1 = std::chrono::steady_clock::now();
 
-    metrics.estimates.inc(runtimes.size());
+    metrics.estimates.inc(runtimes->size());
     metrics.latency.record(
         std::chrono::duration<double>(t1 - t0).count() /
-        static_cast<double>(std::max<size_t>(1, runtimes.size())));
+        static_cast<double>(std::max<size_t>(1, runtimes->size())));
 
-    SweepCache::instance().insert(key, runtimes);
+    cache.insertShared(key, runtimes);
     debuglog("swept %s: %zu configs", kernel.name.c_str(),
-             runtimes.size());
+             runtimes->size());
     return runtimes;
 }
 
@@ -134,6 +141,10 @@ sweepKernels(const gpu::PerfModel &model,
 
     SweepMetrics &metrics = SweepMetrics::get();
     const gpu::ConfigGrid grid = space.grid();
+    // The model and the grid are the same for every kernel, so their
+    // fingerprints are taken once here, not once per key.
+    const std::string model_fp = model.fingerprint();
+    const std::string grid_fp = grid.fingerprint();
 
     //
     // Shard kernels into contiguous slices, several per worker so a
@@ -146,8 +157,9 @@ sweepKernels(const gpu::PerfModel &model,
         std::min(kernels.size(), std::max<size_t>(1, workers * 4));
     metrics.shards.set(static_cast<double>(num_shards));
 
-    // Build surfaces into pre-sized slots so workers never contend.
-    std::vector<std::vector<double>> runtimes(kernels.size());
+    // Each shard builds its kernels' surfaces, checks included, into
+    // pre-sized slots so workers never contend.
+    std::vector<std::optional<scaling::ScalingSurface>> built(kernels.size());
     parallelFor(num_shards, [&](size_t shard) {
         const auto t0 = std::chrono::steady_clock::now();
         // Balanced contiguous partition of [0, n) into num_shards.
@@ -155,21 +167,24 @@ sweepKernels(const gpu::PerfModel &model,
         const size_t begin = shard * n / num_shards;
         const size_t end = (shard + 1) * n / num_shards;
         for (size_t k = begin; k < end; ++k) {
+            const gpu::KernelDesc &kernel = *kernels[k];
             // One identity for the journal and the cache, built in
             // the shard: a kernel that changed under the same name
             // misses both.
             const std::string key =
-                SweepCache::keyFor(model, *kernels[k], grid);
+                SweepCache::keyFor(model_fp, kernel, grid_fp);
             // Journal first: a replayed kernel skips the sweep (and
             // the cache) entirely, and is not re-recorded.
-            if (journal != nullptr && journal->lookup(key, runtimes[k])) {
-                if (progress != nullptr)
-                    progress->tick();
-                continue;
+            std::vector<double> replayed;
+            if (journal != nullptr && journal->lookup(key, replayed)) {
+                built[k].emplace(kernel.name, space, std::move(replayed));
+            } else {
+                SweepCache::Runtimes runtimes =
+                    sweepOne(model, kernel, grid, key);
+                if (journal != nullptr)
+                    journal->record(key, *runtimes);
+                built[k].emplace(kernel.name, space, std::move(runtimes));
             }
-            runtimes[k] = sweepOne(model, *kernels[k], grid, key);
-            if (journal != nullptr)
-                journal->record(key, runtimes[k]);
             if (progress != nullptr)
                 progress->tick();
         }
@@ -180,10 +195,8 @@ sweepKernels(const gpu::PerfModel &model,
 
     std::vector<scaling::ScalingSurface> surfaces;
     surfaces.reserve(kernels.size());
-    for (size_t k = 0; k < kernels.size(); ++k) {
-        surfaces.emplace_back(kernels[k]->name, space,
-                              std::move(runtimes[k]));
-    }
+    for (auto &surface : built)
+        surfaces.push_back(std::move(*surface));
     return surfaces;
 }
 

@@ -9,7 +9,9 @@
 
 #include "sweep_cache.hh"
 
-#include "base/string_util.hh"
+#include <charconv>
+
+#include "base/logging.hh"
 #include "checkpoint.hh"
 #include "obs/metrics.hh"
 
@@ -65,7 +67,12 @@ diskRole()
 void
 appendDouble(std::string &out, double v)
 {
-    out += formatDoubleShortest(v);
+    // The shortest round-trip form formatDoubleShortest() prints,
+    // written in place so that a key allocates once.
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    panic_if(res.ec != std::errc(), "to_chars overflowed a key field");
+    out.append(buf, res.ptr);
     out += ';';
 }
 
@@ -86,9 +93,25 @@ SweepCache::keyFor(const gpu::PerfModel &model,
     const std::string model_fp = model.fingerprint();
     if (model_fp.empty())
         return "";
+    return keyFor(model_fp, kernel, grid.fingerprint());
+}
 
-    std::string key = "model=";
-    key += model_fp;
+std::string
+SweepCache::keyFor(const std::string &model_fingerprint,
+                   const gpu::KernelDesc &kernel,
+                   const std::string &grid_fingerprint)
+{
+    if (model_fingerprint.empty())
+        return "";
+
+    // Reserved once: each of the descriptor's 20 doubles prints in
+    // at most 24 characters and each of its 4 integers in at most 20,
+    // plus a separator each and 16 characters of labels.
+    std::string key;
+    key.reserve(model_fingerprint.size() + kernel.name.size() +
+                grid_fingerprint.size() + 20 * 25 + 4 * 21 + 16);
+    key += "model=";
+    key += model_fingerprint;
     key += "|kernel=";
     key += kernel.name;
     key += ';';
@@ -123,48 +146,50 @@ SweepCache::keyFor(const gpu::PerfModel &model,
     appendDouble(key, kernel.atomic_contention);
     appendDouble(key, kernel.host_overhead_us);
     key += "|";
-    key += grid.fingerprint();
+    key += grid_fingerprint;
     return key;
 }
 
-bool
-SweepCache::lookup(const std::string &key, std::vector<double> &runtimes)
+SweepCache::Runtimes
+SweepCache::lookupShared(const std::string &key)
 {
     CacheMetrics &metrics = CacheMetrics::get();
     if (key.empty()) {
         metrics.misses.inc();
-        return false;
+        return nullptr;
     }
 
     std::shared_ptr<CensusJournal> disk;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = map_.find(key);
+        const auto it = map_.find(key);
         if (it != map_.end()) {
-            runtimes = it->second;
             metrics.hits.inc();
-            return true;
+            return it->second;
         }
         disk = disk_;
     }
 
-    if (disk != nullptr && disk->lookup(key, runtimes)) {
+    std::vector<double> from_disk;
+    if (disk != nullptr && disk->lookup(key, from_disk)) {
+        Runtimes runtimes =
+            std::make_shared<const std::vector<double>>(std::move(from_disk));
         std::lock_guard<std::mutex> lock(mutex_);
         rememberLocked(key, runtimes);
         metrics.hits.inc();
-        return true;
+        return runtimes;
     }
 
     metrics.misses.inc();
-    return false;
+    return nullptr;
 }
 
 void
-SweepCache::insert(const std::string &key,
-                   const std::vector<double> &runtimes)
+SweepCache::insertShared(const std::string &key, const Runtimes &runtimes)
 {
     if (key.empty())
         return;
+    panic_if(runtimes == nullptr, "sweep-cache insert without runtimes");
     std::shared_ptr<CensusJournal> disk;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -174,26 +199,46 @@ SweepCache::insert(const std::string &key,
     if (disk != nullptr) {
         // Flushed at once so other processes see the entry; the
         // memory layer keeps it either way.
-        disk->record(key, runtimes);
+        disk->record(key, *runtimes);
         disk->flush();
     }
 }
 
-void
-SweepCache::rememberLocked(const std::string &key,
-                           const std::vector<double> &runtimes)
+bool
+SweepCache::lookup(const std::string &key, std::vector<double> &runtimes)
 {
-    auto it = map_.find(key);
-    if (it != map_.end()) {
+    const Runtimes hit = lookupShared(key);
+    if (hit == nullptr)
+        return false;
+    runtimes = *hit;
+    return true;
+}
+
+void
+SweepCache::insert(const std::string &key,
+                   const std::vector<double> &runtimes)
+{
+    if (!key.empty())
+        insertShared(key,
+                     std::make_shared<const std::vector<double>>(runtimes));
+}
+
+void
+SweepCache::rememberLocked(const std::string &key, const Runtimes &runtimes)
+{
+    const auto [it, fresh] = map_.try_emplace(key, runtimes);
+    if (!fresh) {
         it->second = runtimes;
         return;
     }
-    while (map_.size() >= kMaxEntries) {
-        map_.erase(fifo_.front());
+    while (map_.size() > kMaxEntries) {
+        // Find, then erase by iterator: erase(key) would be handed a
+        // reference into the very node it destroys.
+        const auto oldest = map_.find(*fifo_.front());
         fifo_.pop_front();
+        map_.erase(oldest);
     }
-    map_.emplace(key, runtimes);
-    fifo_.push_back(key);
+    fifo_.push_back(&it->first);
     CacheMetrics::get().entries.set(static_cast<double>(map_.size()));
 }
 

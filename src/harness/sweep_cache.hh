@@ -10,6 +10,12 @@
  * kernel descriptor, and the grid fingerprint, so any repeat is a
  * lookup instead of a recompute.
  *
+ * An entry is one immutable runtime vector behind a shared pointer.
+ * A cold insert and a warm hit hand that pointer over, and the
+ * kernel's ScalingSurface holds the same one, so a census never
+ * copies a kernel's runtimes; an evicted entry lives on in every
+ * surface still holding it.
+ *
  * Two layers:
  *  - an in-memory map (process lifetime, bounded FIFO), and
  *  - an optional disk layer (setDirectory()), which is what lets a
@@ -47,6 +53,9 @@ class CensusJournal;
 class SweepCache
 {
   public:
+    /** One sweep's runtimes, shared and never mutated once stored. */
+    using Runtimes = std::shared_ptr<const std::vector<double>>;
+
     /** The process-wide instance the sweep harness consults. */
     static SweepCache &instance();
 
@@ -61,14 +70,30 @@ class SweepCache
                               const gpu::ConfigGrid &grid);
 
     /**
+     * The same key from fingerprints taken once per sweep: given
+     * model.fingerprint() and grid.fingerprint(), the bytes equal
+     * keyFor(model, kernel, grid).  "" for an empty model
+     * fingerprint.
+     */
+    static std::string keyFor(const std::string &model_fingerprint,
+                              const gpu::KernelDesc &kernel,
+                              const std::string &grid_fingerprint);
+
+    /**
      * Look up a sweep.  Checks memory first, then the disk layer (a
      * disk hit is promoted into memory).  An empty key always misses.
      *
-     * @return true and fill `runtimes` on a hit.
+     * @return the shared entry on a hit, nullptr on a miss.
      */
+    Runtimes lookupShared(const std::string &key);
+
+    /** Store a sweep's shared vector as is; no-op for an empty key. */
+    void insertShared(const std::string &key, const Runtimes &runtimes);
+
+    /** lookupShared(), copying a hit into `runtimes`. */
     bool lookup(const std::string &key, std::vector<double> &runtimes);
 
-    /** Store a sweep; no-op for an empty key. */
+    /** insertShared() of a copy of `runtimes`. */
     void insert(const std::string &key,
                 const std::vector<double> &runtimes);
 
@@ -92,8 +117,7 @@ class SweepCache
   private:
     SweepCache() = default;
 
-    void rememberLocked(const std::string &key,
-                        const std::vector<double> &runtimes);
+    void rememberLocked(const std::string &key, const Runtimes &runtimes);
 
     /**
      * In-memory entries are bounded: a census caches one entry per
@@ -107,9 +131,12 @@ class SweepCache
     // (enforced by the lock-discipline rule).
     mutable std::mutex mutex_;
     // guarded_by(mutex_)
-    std::unordered_map<std::string, std::vector<double>> map_;
+    std::unordered_map<std::string, Runtimes> map_;
+    // Insertion order, oldest first.  Each element points at its
+    // entry's key inside map_: map nodes never move, and an entry
+    // leaves the map and the FIFO together.
     // guarded_by(mutex_)
-    std::deque<std::string> fifo_;
+    std::deque<const std::string *> fifo_;
     // The disk layer; lookups and inserts copy the pointer and use
     // the store outside mutex_.
     // guarded_by(mutex_)

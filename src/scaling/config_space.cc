@@ -30,12 +30,13 @@ ConfigSpace::ConfigSpace(std::vector<int> cu_values,
                          std::vector<double> core_clks,
                          std::vector<double> mem_clks,
                          gpu::GpuConfig base)
-    : cu_values_(std::move(cu_values)), core_clks_(std::move(core_clks)),
-      mem_clks_(std::move(mem_clks)), base_(base)
+    : axes_(std::make_shared<const Axes>(
+          Axes{std::move(cu_values), std::move(core_clks),
+               std::move(mem_clks), base}))
 {
-    checkAxis(cu_values_, "compute-units");
-    checkAxis(core_clks_, "core-clock");
-    checkAxis(mem_clks_, "memory-clock");
+    checkAxis(axes_->cu_values, "compute-units");
+    checkAxis(axes_->core_clks, "core-clock");
+    checkAxis(axes_->mem_clks, "memory-clock");
     // Validate the extreme points once; interior points share the
     // same fixed parameters.
     minConfig().validate();
@@ -87,10 +88,10 @@ ConfigSpace::at(size_t cu_i, size_t core_i, size_t mem_i) const
                  mem_i >= numMemClk(),
              "config index (%zu, %zu, %zu) out of range",
              cu_i, core_i, mem_i);
-    gpu::GpuConfig cfg = base_;
-    cfg.num_cus = cu_values_[cu_i];
-    cfg.core_clk_mhz = core_clks_[core_i];
-    cfg.mem_clk_mhz = mem_clks_[mem_i];
+    gpu::GpuConfig cfg = axes_->base;
+    cfg.num_cus = axes_->cu_values[cu_i];
+    cfg.core_clk_mhz = axes_->core_clks[core_i];
+    cfg.mem_clk_mhz = axes_->mem_clks[mem_i];
     return cfg;
 }
 
@@ -118,10 +119,10 @@ gpu::ConfigGrid
 ConfigSpace::grid() const
 {
     gpu::ConfigGrid grid;
-    grid.cu_values = cu_values_;
-    grid.core_clks_mhz = core_clks_;
-    grid.mem_clks_mhz = mem_clks_;
-    grid.base = base_;
+    grid.cu_values = axes_->cu_values;
+    grid.core_clks_mhz = axes_->core_clks;
+    grid.mem_clks_mhz = axes_->mem_clks;
+    grid.base = axes_->base;
     return grid;
 }
 

@@ -5,12 +5,18 @@
  * The paper's study space: 11 compute-unit settings x 9 core clocks x
  * 9 memory clocks = 891 configurations, spanning an 11x CU range, a
  * 5x core-frequency range, and an 8.33x memory-bandwidth range.
+ *
+ * A space is immutable once built, so its copies share one set of
+ * axes: copying a ConfigSpace (every ScalingSurface holds one, and a
+ * sparse census builds 17 surfaces per kernel) is one reference-count
+ * increment, not three vector allocations.
  */
 
 #ifndef GPUSCALE_SCALING_CONFIG_SPACE_HH
 #define GPUSCALE_SCALING_CONFIG_SPACE_HH
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "gpu/config_grid.hh"
@@ -44,17 +50,17 @@ class ConfigSpace
     /** A coarse 3x3x3 grid for fast tests. */
     static ConfigSpace testGrid();
 
-    size_t numCu() const { return cu_values_.size(); }
-    size_t numCoreClk() const { return core_clks_.size(); }
-    size_t numMemClk() const { return mem_clks_.size(); }
+    size_t numCu() const { return axes_->cu_values.size(); }
+    size_t numCoreClk() const { return axes_->core_clks.size(); }
+    size_t numMemClk() const { return axes_->mem_clks.size(); }
     size_t size() const
     {
         return numCu() * numCoreClk() * numMemClk();
     }
 
-    const std::vector<int> &cuValues() const { return cu_values_; }
-    const std::vector<double> &coreClks() const { return core_clks_; }
-    const std::vector<double> &memClks() const { return mem_clks_; }
+    const std::vector<int> &cuValues() const { return axes_->cu_values; }
+    const std::vector<double> &coreClks() const { return axes_->core_clks; }
+    const std::vector<double> &memClks() const { return axes_->mem_clks; }
 
     /** Flatten (cu, core, mem) axis indices to a linear index. */
     size_t flatten(size_t cu_i, size_t core_i, size_t mem_i) const;
@@ -83,10 +89,15 @@ class ConfigSpace
     gpu::GpuConfig minConfig() const;
 
   private:
-    std::vector<int> cu_values_;
-    std::vector<double> core_clks_;
-    std::vector<double> mem_clks_;
-    gpu::GpuConfig base_;
+    /** The axes and base configuration, shared by every copy. */
+    struct Axes {
+        std::vector<int> cu_values;
+        std::vector<double> core_clks;
+        std::vector<double> mem_clks;
+        gpu::GpuConfig base;
+    };
+
+    std::shared_ptr<const Axes> axes_;
 };
 
 } // namespace scaling

@@ -39,16 +39,25 @@ classifyCurve(std::span<const double> knob, std::span<const double> perf,
         monotoneIncreasingFraction(perf, params.step_tolerance);
     v.linearity_r2 = linearFit(knob, perf).r2;
 
-    // Peak/saturation detection runs on the median-filtered curve so
-    // a single noisy sample cannot masquerade as the peak (measured
-    // data is the expected input).  Monotonicity stays on the raw
-    // curve: sawtooth structure is real signal there.
-    const std::vector<double> smooth = medianFilter3(perf);
-    const double peak =
-        *std::max_element(smooth.begin(), smooth.end());
+    // Peak/saturation detection runs on the 3-point median-filtered
+    // curve (endpoints copied) so a single noisy sample cannot
+    // masquerade as the peak (measured data is the expected input).
+    // Monotonicity stays on the raw curve: sawtooth structure is real
+    // signal there.  The filter is evaluated point by point, so the
+    // classifier needs no buffer for it.
+    const size_t n = perf.size();
+    const auto smooth = [&perf, n](size_t i) {
+        if (i == 0 || i + 1 == n)
+            return perf[i];
+        const double a = perf[i - 1], b = perf[i], c = perf[i + 1];
+        return std::max(std::min(a, b), std::min(std::max(a, b), c));
+    };
+    double peak = smooth(0);
+    for (size_t i = 1; i < n; ++i)
+        peak = std::max(peak, smooth(i));
     v.saturation_knob = knob.back();
-    for (size_t i = 0; i < smooth.size(); ++i) {
-        if (smooth[i] >= params.saturation_level * peak) {
+    for (size_t i = 0; i < n; ++i) {
+        if (smooth(i) >= params.saturation_level * peak) {
             v.saturation_knob = knob[i];
             break;
         }
@@ -65,7 +74,7 @@ classifyCurve(std::span<const double> knob, std::span<const double> perf,
     // and the rise-then-collapse curves the paper highlights.  Both
     // sides come from the smoothed curve so noise cannot fabricate
     // (or hide) the loss.
-    if (smooth.back() < params.adverse_ratio * peak) {
+    if (smooth(n - 1) < params.adverse_ratio * peak) {
         v.shape = CurveShape::Adverse;
         return v;
     }

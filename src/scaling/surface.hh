@@ -6,11 +6,18 @@
  * data a real study gathers by timing a kernel on every hardware
  * configuration, so the classifier works identically on simulated and
  * measured data.
+ *
+ * A surface owns nothing it would have to copy: its runtimes are an
+ * immutable shared vector (the very one the sweep cache holds, so a
+ * census never copies a kernel's 891 runtimes) and its ConfigSpace
+ * shares the space's axes.  Copying a surface copies its name and two
+ * reference counts.
  */
 
 #ifndef GPUSCALE_SCALING_SURFACE_HH
 #define GPUSCALE_SCALING_SURFACE_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,9 +40,17 @@ class ScalingSurface
     ScalingSurface(std::string kernel_name, ConfigSpace space,
                    std::vector<double> runtimes_s);
 
+    /**
+     * Share an immutable runtime vector instead of copying it — how
+     * the sweep harness hands a cache entry over.  The same checks
+     * run; the pointer must be non-null.
+     */
+    ScalingSurface(std::string kernel_name, ConfigSpace space,
+                   std::shared_ptr<const std::vector<double>> runtimes_s);
+
     const std::string &kernelName() const { return kernel_name_; }
     const ConfigSpace &space() const { return space_; }
-    const std::vector<double> &runtimes() const { return runtimes_; }
+    const std::vector<double> &runtimes() const { return *runtimes_; }
 
     /** Runtime at axis indices, seconds. */
     double runtimeAt(size_t cu_i, size_t core_i, size_t mem_i) const;
@@ -68,6 +83,14 @@ class ScalingSurface
     /** Memory curve at maximum CUs and core clock. */
     std::vector<double> memCurveAtMax() const;
 
+    /**
+     * The three curves above written into caller-owned vectors, which
+     * are resized and keep their capacity: the classifier's
+     * allocation-free form.
+     */
+    void curvesAtMax(std::vector<double> &cu, std::vector<double> &freq,
+                     std::vector<double> &mem) const;
+
     /** Best performance over the whole grid. */
     double bestPerf() const;
 
@@ -94,7 +117,7 @@ class ScalingSurface
   private:
     std::string kernel_name_;
     ConfigSpace space_;
-    std::vector<double> runtimes_;
+    std::shared_ptr<const std::vector<double>> runtimes_;
 };
 
 } // namespace scaling

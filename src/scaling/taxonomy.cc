@@ -33,6 +33,18 @@ isSaturating(const ShapeVerdict &v)
     return v.shape == CurveShape::Plateau || v.shape == CurveShape::Flat;
 }
 
+/**
+ * The knob and curve vectors one classification reads.  A census
+ * classifies every kernel on every pool worker, so each thread keeps
+ * one set whose capacity outlives the call.
+ */
+struct CurveBuffers {
+    std::vector<double> cu_knob;
+    std::vector<double> cu_perf;
+    std::vector<double> freq_perf;
+    std::vector<double> mem_perf;
+};
+
 } // namespace
 
 KernelClassification
@@ -44,11 +56,13 @@ classifySurface(const ScalingSurface &surface,
     KernelClassification out;
     out.kernel = surface.kernelName();
 
-    const std::vector<double> cu_knob(space.cuValues().begin(),
-                                      space.cuValues().end());
-    const std::vector<double> cu_perf = surface.cuCurveAtMax();
-    const std::vector<double> freq_perf = surface.freqCurveAtMax();
-    const std::vector<double> mem_perf = surface.memCurveAtMax();
+    thread_local CurveBuffers buffers;
+    buffers.cu_knob.assign(space.cuValues().begin(), space.cuValues().end());
+    surface.curvesAtMax(buffers.cu_perf, buffers.freq_perf, buffers.mem_perf);
+    const std::vector<double> &cu_knob = buffers.cu_knob;
+    const std::vector<double> &cu_perf = buffers.cu_perf;
+    const std::vector<double> &freq_perf = buffers.freq_perf;
+    const std::vector<double> &mem_perf = buffers.mem_perf;
 
     out.cu = classifyCurve(cu_knob, cu_perf, params.shape);
     out.freq = classifyCurve(space.coreClks(), freq_perf, params.shape);

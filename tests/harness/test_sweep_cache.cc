@@ -86,6 +86,11 @@ TEST_F(SweepCacheTest, KeyIsStableAndSensitiveToEveryInput)
     const gpu::AnalyticModel other_model(params);
     EXPECT_NE(key,
               harness::SweepCache::keyFor(other_model, kernel, grid));
+
+    // The overload sweepKernels() calls, on fingerprints taken once
+    // per call, returns exactly the same bytes.
+    EXPECT_EQ(key, harness::SweepCache::keyFor(model.fingerprint(), kernel,
+                                               grid.fingerprint()));
 }
 
 TEST_F(SweepCacheTest, UncacheableModelsGetEmptyKeysAndAlwaysMiss)
@@ -161,6 +166,63 @@ TEST_F(SweepCacheTest, RepeatSweepHitsAndReturnsIdenticalRuntimes)
     ASSERT_EQ(first.runtimes().size(), second.runtimes().size());
     for (size_t i = 0; i < first.runtimes().size(); ++i)
         EXPECT_EQ(first.runtimes()[i], second.runtimes()[i]);
+}
+
+TEST_F(SweepCacheTest,
+       FifoEvictionKeepsTheNewestEntriesAndSharedSurfacesSurviveIt)
+{
+    // The in-memory layer holds at most 4096 entries and evicts the
+    // oldest first.
+    constexpr size_t kCapacity = 4096;
+    auto &cache = harness::SweepCache::instance();
+    const gpu::AnalyticModel model;
+    const auto space = scaling::ConfigSpace::testGrid();
+    const auto *kernel =
+        workloads::WorkloadRegistry::instance().findKernel(
+            "rodinia/hotspot/calculate_temp");
+    ASSERT_NE(kernel, nullptr);
+
+    // The oldest entry is a real sweep, and its surface holds the
+    // cache's own vector rather than a copy of it.
+    const auto surface = harness::sweepKernel(model, *kernel, space);
+    const std::string sweep_key =
+        harness::SweepCache::keyFor(model, *kernel, space.grid());
+    const std::vector<double> swept = surface.runtimes();
+    {
+        const harness::SweepCache::Runtimes entry =
+            cache.lookupShared(sweep_key);
+        ASSERT_NE(entry, nullptr);
+        EXPECT_EQ(entry.get(), &surface.runtimes());
+    }
+
+    const auto keyAt = [](size_t i) {
+        return "eviction-test|k=" + std::to_string(i);
+    };
+    const auto runtimesAt = [](size_t i) {
+        return std::vector<double>{1.0 + static_cast<double>(i), 0.5,
+                                   0.25 * static_cast<double>(i + 1)};
+    };
+    // 4096 + 3 distinct keys in all, the sweep's included.
+    const size_t last = kCapacity + 2;
+    for (size_t i = 1; i <= last; ++i)
+        cache.insert(keyAt(i), runtimesAt(i));
+
+    EXPECT_EQ(cache.entries(), kCapacity);
+    std::vector<double> out;
+    EXPECT_FALSE(cache.lookup(sweep_key, out));
+    EXPECT_FALSE(cache.lookup(keyAt(1), out));
+    EXPECT_FALSE(cache.lookup(keyAt(2), out));
+    EXPECT_TRUE(cache.lookup(keyAt(3), out));
+    ASSERT_TRUE(cache.lookup(keyAt(last), out));
+    const std::vector<double> newest = runtimesAt(last);
+    ASSERT_EQ(out.size(), newest.size());
+    for (size_t i = 0; i < out.size(); ++i)
+        EXPECT_EQ(out[i], newest[i]);
+
+    // Eviction dropped the cache's reference, not the surface's.
+    ASSERT_EQ(surface.runtimes().size(), swept.size());
+    for (size_t i = 0; i < swept.size(); ++i)
+        EXPECT_EQ(surface.runtimes()[i], swept[i]);
 }
 
 TEST_F(SweepCacheTest, DiskLayerSurvivesInMemoryClear)
