@@ -109,26 +109,34 @@ geomean(std::span<const double> v)
     return std::exp(s / static_cast<double>(v.size()));
 }
 
+PercentileRank
+percentileRank(size_t n, double p)
+{
+    panic_if(n == 0, "percentile of empty span");
+    panic_if(p < 0 || p > 100, "percentile %g out of [0,100]", p);
+    const double rank = p / 100.0 * static_cast<double>(n - 1);
+    PercentileRank r;
+    r.lo = static_cast<size_t>(std::floor(rank));
+    r.hi = std::min(r.lo + 1, n - 1);
+    r.frac = rank - static_cast<double>(r.lo);
+    return r;
+}
+
 double
 percentile(std::span<const double> v, double p)
 {
-    panic_if(v.empty(), "percentile of empty span");
-    panic_if(p < 0 || p > 100, "percentile %g out of [0,100]", p);
+    const PercentileRank r = percentileRank(v.size(), p);
     if (v.size() == 1)
         return v[0];
-    const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
-    const size_t lo = static_cast<size_t>(std::floor(rank));
-    const size_t hi = std::min(lo + 1, v.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
     // Selection, not a sort: nth_element puts the lo-th order
     // statistic at lo with nothing smaller after it, so the hi-th is
     // the minimum of [hi, n).  These are the two values a sorted copy
     // holds at lo and hi, so the interpolation is bitwise the same.
     thread_local std::vector<double> work;
     work.assign(v.begin(), v.end());
-    std::nth_element(work.begin(), work.begin() + lo, work.end());
-    const double at_hi = *std::min_element(work.begin() + hi, work.end());
-    return work[lo] * (1.0 - frac) + at_hi * frac;
+    std::nth_element(work.begin(), work.begin() + r.lo, work.end());
+    return r.between(work[r.lo],
+                     *std::min_element(work.begin() + r.hi, work.end()));
 }
 
 double

@@ -47,6 +47,26 @@ double stddev(std::span<const double> v);
 double geomean(std::span<const double> v);
 
 /**
+ * Where percentile() reads: the order statistics at `lo` and `hi`
+ * (ascending ranks), with weight `frac` on the one at `hi`.
+ */
+struct PercentileRank {
+    size_t lo = 0;
+    size_t hi = 0;
+    double frac = 0.0;
+
+    /** percentile()'s interpolation between the two statistics. */
+    double
+    between(double at_lo, double at_hi) const
+    {
+        return at_lo * (1.0 - frac) + at_hi * frac;
+    }
+};
+
+/** The ranks percentile() reads in n >= 1 values at p in [0, 100]. */
+PercentileRank percentileRank(size_t n, double p);
+
+/**
  * Linear-interpolated percentile, p in [0, 100].  Linear time: the two
  * order statistics it interpolates between are found by selection on
  * a copy of the span, and equal what a full sort would place there.

@@ -51,16 +51,28 @@ struct SparseMetrics {
 };
 
 /**
+ * What every kernel of one sparse census shares, built once per
+ * census: the fingerprints each cache key starts from, and the LHS
+ * plan, a function of (space, seed, budget) alone.
+ */
+struct CensusInvariants {
+    std::string model_fp;
+    std::string grid_fp;
+    std::vector<size_t> lhs_plan; ///< empty for the active sampler
+};
+
+/**
  * Cache key for one kernel's sample plan: the full-sweep key plus
  * everything the plan depends on.  Empty when the model is
  * uncacheable (empty full-sweep key).
  */
 std::string
-sparseKeyFor(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
-             const gpu::ConfigGrid &grid,
+sparseKeyFor(const CensusInvariants &invariants,
+             const gpu::KernelDesc &kernel,
              const SparseCensusOptions &options)
 {
-    const std::string base = SweepCache::keyFor(model, kernel, grid);
+    const std::string base =
+        SweepCache::keyFor(invariants.model_fp, kernel, invariants.grid_fp);
     if (base.empty())
         return "";
     return base + "|sparse|" +
@@ -110,12 +122,18 @@ unpackSamples(const std::vector<double> &packed, size_t grid_size,
     return true;
 }
 
-} // namespace
-
+/**
+ * Measure one kernel's sample plan (through the sweep cache) and
+ * reconstruct its surface.  The measured (index, runtime) set is
+ * cached under the full-sweep key plus a plan suffix, so repeated
+ * sparse runs — and the accuracy bench's budget curves — only pay
+ * for the model once per (kernel, plan).
+ */
 scaling::SparseReconstruction
 sparseSweepKernel(const gpu::PerfModel &model,
                   const gpu::KernelDesc &kernel,
                   const scaling::SparsePredictor &predictor,
+                  const CensusInvariants &invariants,
                   const SparseCensusOptions &options,
                   const scaling::TaxonomyParams &params)
 {
@@ -126,8 +144,7 @@ sparseSweepKernel(const gpu::PerfModel &model,
     faultPoint("sweep.kernel");
 
     const scaling::ConfigSpace &space = predictor.space();
-    const std::string key =
-        sparseKeyFor(model, kernel, space.grid(), options);
+    const std::string key = sparseKeyFor(invariants, kernel, options);
 
     std::vector<size_t> indices;
     std::vector<double> runtimes;
@@ -150,7 +167,7 @@ sparseSweepKernel(const gpu::PerfModel &model,
         };
         switch (options.sampler) {
           case scaling::SamplerKind::Lhs:
-            indices = predictor.lhsPlan(options.samples);
+            indices = invariants.lhs_plan;
             runtimes.reserve(indices.size());
             for (const size_t flat : indices)
                 runtimes.push_back(measureOne(flat));
@@ -182,6 +199,8 @@ sparseSweepKernel(const gpu::PerfModel &model,
     return rec;
 }
 
+} // namespace
+
 SparseCensusResult
 runSparseCensus(const gpu::PerfModel &model,
                 std::optional<scaling::ConfigSpace> space,
@@ -201,6 +220,13 @@ runSparseCensus(const gpu::PerfModel &model,
     fit.seed = options.seed;
     fit.ensemble = options.ensemble;
     const scaling::SparsePredictor predictor(census.space, fit);
+    const CensusInvariants invariants{
+        model.fingerprint(),
+        census.space.grid().fingerprint(),
+        options.sampler == scaling::SamplerKind::Lhs
+            ? predictor.lhsPlan(options.samples)
+            : std::vector<size_t>{},
+    };
 
     const auto kernels =
         workloads::WorkloadRegistry::instance().allKernels();
@@ -225,7 +251,7 @@ runSparseCensus(const gpu::PerfModel &model,
         const size_t end = (shard + 1) * n / num_shards;
         for (size_t k = begin; k < end; ++k) {
             slots[k] = sparseSweepKernel(model, *kernels[k], predictor,
-                                         options, params);
+                                         invariants, options, params);
             if (progress != nullptr)
                 progress->tick();
         }

@@ -62,19 +62,6 @@ struct SparseCensusResult {
 };
 
 /**
- * Measure one kernel's sample plan (through the sweep cache) and
- * reconstruct its surface.  The measured (index, runtime) set is
- * cached under the full-sweep key plus a plan suffix, so repeated
- * sparse runs — and the accuracy bench's budget curves — only pay
- * for the model once per (kernel, plan).
- */
-scaling::SparseReconstruction sparseSweepKernel(
-    const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
-    const scaling::SparsePredictor &predictor,
-    const SparseCensusOptions &options,
-    const scaling::TaxonomyParams &params = scaling::TaxonomyParams{});
-
-/**
  * Run the sparse census over all zoo kernels: plan, measure, and
  * reconstruct each kernel, sharded over the worker pool exactly like
  * the dense sweepKernels().

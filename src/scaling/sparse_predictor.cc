@@ -8,6 +8,11 @@
  * backfit runs a fixed iteration count, and all randomness flows
  * through seeded Rng streams derived from (options.seed, kernel
  * name, ensemble member) — never from global state.
+ *
+ * The point estimate and the bootstrap members are fitted together,
+ * one lane each (docs/prediction.md, "The fitting model").  Each lane
+ * performs the IEEE operations of a fit on its own, in the same
+ * order, so running them side by side changes no bit.
  */
 
 #include "sparse_predictor.hh"
@@ -15,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "base/logging.hh"
 #include "base/random.hh"
@@ -37,53 +43,174 @@ nameSalt(const std::string &name)
 }
 
 /**
- * Fill unsampled axis levels by linear interpolation over the knob
- * values of the sampled ones (nearest-neighbour at the ends: flat
- * extrapolation is conservative where the data says nothing).
+ * One axis of the lockstep backfit.  Its level effects and per-level
+ * sums are lane-major, level l of lane j at [l * lanes + j], so the
+ * lanes of one level sit side by side and the loops over them are
+ * unit-stride.
+ */
+struct LaneAxis {
+    std::vector<double> knob;   ///< knob value per level
+    std::vector<size_t> row;    ///< per sample: its level's offset
+    std::vector<double> effect; ///< level effects
+    std::vector<double> den;    ///< per-level weight sums
+    std::vector<double> total;  ///< per lane: den summed over levels
+    std::vector<size_t> gaps;   ///< lanes with a level of zero weight
+
+    size_t levels() const { return knob.size(); }
+
+    /**
+     * Start a fit: the knob values, each sample's row, zero effects,
+     * and each lane's per-level weight sums.  The sums depend on the
+     * weights alone, so a fit takes them once instead of every sweep.
+     */
+    void
+    reset(const std::vector<size_t> &level_of, const auto &knob_values,
+          const std::vector<double> &weights, size_t lanes)
+    {
+        knob.assign(knob_values.begin(), knob_values.end());
+        row.resize(level_of.size());
+        den.assign(levels() * lanes, 0.0);
+        for (size_t s = 0; s < level_of.size(); ++s) {
+            row[s] = level_of[s] * lanes;
+            double *d = &den[row[s]];
+            const double *w = &weights[s * lanes];
+            for (size_t lane = 0; lane < lanes; ++lane)
+                d[lane] += w[lane];
+        }
+        total.assign(lanes, 0.0);
+        gaps.clear();
+        for (size_t lane = 0; lane < lanes; ++lane) {
+            bool gap = false;
+            for (size_t l = 0; l < levels(); ++l) {
+                total[lane] += den[l * lanes + lane];
+                gap = gap || !(den[l * lanes + lane] > 0);
+            }
+            if (gap)
+                gaps.push_back(lane);
+        }
+        effect.assign(levels() * lanes, 0.0);
+    }
+
+    /**
+     * Fill one lane's unsampled levels by linear interpolation over
+     * the knob values of the sampled ones (nearest-neighbour at the
+     * ends: flat extrapolation is conservative where the data says
+     * nothing).  Every lane weighs some sample, so some level is
+     * sampled.
+     */
+    void
+    fillGaps(size_t lane, size_t lanes)
+    {
+        const size_t n = levels();
+        auto fitted = [&](size_t l) { return den[l * lanes + lane] > 0; };
+        auto at = [&](size_t l) -> double & {
+            return effect[l * lanes + lane];
+        };
+        for (size_t l = 0; l < n; ++l) {
+            if (fitted(l))
+                continue;
+            // Nearest fitted level on each side.
+            size_t lo = n, hi = n;
+            for (size_t s = l; s-- > 0;) {
+                if (fitted(s)) {
+                    lo = s;
+                    break;
+                }
+            }
+            for (size_t s = l + 1; s < n; ++s) {
+                if (fitted(s)) {
+                    hi = s;
+                    break;
+                }
+            }
+            if (lo < n && hi < n) {
+                const double t =
+                    (knob[l] - knob[lo]) / (knob[hi] - knob[lo]);
+                at(l) = at(lo) + t * (at(hi) - at(lo));
+            } else if (lo < n) {
+                at(l) = at(lo);
+            } else {
+                at(l) = at(hi);
+            }
+        }
+    }
+};
+
+/** The lockstep fit's working set, per thread so its capacity lasts. */
+struct LaneScratch {
+    std::vector<double> weights; ///< [sample * lanes + lane]
+    std::vector<double> mu;      ///< per lane
+    std::vector<double> num;     ///< per-level residual sums
+    std::vector<double> shift;   ///< per lane
+    LaneAxis cu, core, mem;
+};
+
+/**
+ * num += w * (y - mu - e1 - e2) in every lane: one sample's weighted
+ * residual, evaluated left to right as a lane's own fit would.
  */
 void
-fillMissingLevels(std::vector<double> &effect,
-                  const std::vector<double> &knob,
-                  const std::vector<double> &den)
+accumulateResiduals(double *__restrict__ num, const double *__restrict__ w,
+                    double y, const double *__restrict__ mu,
+                    const double *__restrict__ e1,
+                    const double *__restrict__ e2, size_t lanes)
 {
-    const size_t n = effect.size();
-    size_t fitted = 0;
-    for (size_t l = 0; l < n; ++l)
-        fitted += den[l] > 0;
-    if (fitted == n)
-        return;
-    if (fitted == 0) {
-        for (size_t l = 0; l < n; ++l)
-            effect[l] = 0.0;
-        return;
+    // GPUSCALE_SPARSE_LANE_LOOP: the lanes of one sample in one
+    // unit-stride loop.  ci/check_vectorization.sh fails if it stops
+    // vectorizing; keep the marker directly above it.
+    for (size_t lane = 0; lane < lanes; ++lane)
+        num[lane] += w[lane] * (y - mu[lane] - e1[lane] - e2[lane]);
+}
+
+/**
+ * One backfit sweep of `axis` in every lane: re-estimate its level
+ * effects from the residuals of the other two axes, with a ridge term
+ * damping sparsely-observed levels, then re-centre so the gauge
+ * freedom (a constant can slosh between mu and any axis) cannot drift
+ * across sweeps.
+ *
+ * Each level's sums take its samples in ascending order, as a lane's
+ * own fit would.  A lane whose weight on a sample is zero adds 0 * r
+ * where its own fit would skip the sample; the sums start at +0 and
+ * residuals are finite, so adding that zero leaves every bit as it
+ * was.
+ */
+void
+sweepLanes(LaneAxis &axis, const LaneAxis &other1, const LaneAxis &other2,
+           const std::vector<double> &log_rt, LaneScratch &scratch,
+           size_t lanes, double ridge)
+{
+    std::vector<double> &num = scratch.num;
+    num.assign(axis.levels() * lanes, 0.0);
+    for (size_t s = 0; s < log_rt.size(); ++s) {
+        accumulateResiduals(&num[axis.row[s]], &scratch.weights[s * lanes],
+                            log_rt[s], scratch.mu.data(),
+                            &other1.effect[other1.row[s]],
+                            &other2.effect[other2.row[s]], lanes);
     }
-    for (size_t l = 0; l < n; ++l) {
-        if (den[l] > 0)
-            continue;
-        // Nearest fitted level on each side.
-        size_t lo = n, hi = n;
-        for (size_t s = l; s-- > 0;) {
-            if (den[s] > 0) {
-                lo = s;
-                break;
-            }
-        }
-        for (size_t s = l + 1; s < n; ++s) {
-            if (den[s] > 0) {
-                hi = s;
-                break;
-            }
-        }
-        if (lo < n && hi < n) {
-            const double t =
-                (knob[l] - knob[lo]) / (knob[hi] - knob[lo]);
-            effect[l] = effect[lo] + t * (effect[hi] - effect[lo]);
-        } else if (lo < n) {
-            effect[l] = effect[lo];
-        } else {
-            effect[l] = effect[hi];
-        }
+    for (size_t j = 0; j < num.size(); ++j) {
+        if (axis.den[j] > 0)
+            axis.effect[j] = num[j] / (axis.den[j] + ridge);
     }
+    for (const size_t lane : axis.gaps)
+        axis.fillGaps(lane, lanes);
+
+    // Re-centre.  total is positive: every lane weighs some sample.
+    std::vector<double> &shift = scratch.shift;
+    shift.assign(lanes, 0.0);
+    for (size_t l = 0; l < axis.levels(); ++l) {
+        for (size_t lane = 0; lane < lanes; ++lane)
+            shift[lane] += axis.den[l * lanes + lane] *
+                           axis.effect[l * lanes + lane];
+    }
+    for (size_t lane = 0; lane < lanes; ++lane)
+        shift[lane] /= axis.total[lane];
+    for (size_t l = 0; l < axis.levels(); ++l) {
+        for (size_t lane = 0; lane < lanes; ++lane)
+            axis.effect[l * lanes + lane] -= shift[lane];
+    }
+    for (size_t lane = 0; lane < lanes; ++lane)
+        scratch.mu[lane] += shift[lane];
 }
 
 } // namespace
@@ -150,14 +277,21 @@ SparsePredictor::canonicalize(std::span<const size_t> indices,
         fatal_if(indices[s] >= space_.size(),
                  "sparse: sample index %zu outside the %zu-point grid",
                  indices[s], space_.size());
-        fatal_if(!(runtimes[s] > 0),
-                 "sparse: non-positive runtime %g at index %zu",
+        // The rule ScalingSurface applies; it also keeps every
+        // residual of the lockstep fit finite.
+        fatal_if(!(std::isfinite(runtimes[s]) && runtimes[s] > 0),
+                 "sparse: runtime %g at index %zu is not finite and "
+                 "positive",
                  runtimes[s], indices[s]);
         rows.emplace_back(indices[s], runtimes[s]);
     }
     std::sort(rows.begin(), rows.end());
 
     Samples out;
+    for (auto *v : {&out.flat, &out.cu_i, &out.core_i, &out.mem_i})
+        v->reserve(rows.size());
+    out.log_rt.reserve(rows.size());
+    out.runtime.reserve(rows.size());
     for (const auto &[flat, rt] : rows) {
         if (!out.flat.empty() && out.flat.back() == flat) {
             fatal_if(out.runtime.back() != rt,
@@ -285,100 +419,93 @@ SparsePredictor::lhsPlan(size_t budget) const
     return plan;
 }
 
-std::vector<double>
-SparsePredictor::fitLogAdditive(const Samples &samples,
-                                std::span<const double> weights) const
+std::vector<std::vector<double>>
+SparsePredictor::fitLanes(const Samples &samples,
+                          const std::string &kernel_name, bool point,
+                          size_t members) const
 {
-    fatal_if(!weights.empty() && weights.size() != samples.size(),
-             "sparse: %zu weights vs %zu samples", weights.size(),
-             samples.size());
-    auto weightOf = [&](size_t s) {
-        return weights.empty() ? 1.0 : weights[s];
-    };
-
     const size_t n = samples.size();
-    double wsum = 0, ysum = 0;
-    for (size_t s = 0; s < n; ++s) {
-        wsum += weightOf(s);
-        ysum += weightOf(s) * samples.log_rt[s];
+    const size_t lanes = (point ? 1 : 0) + members;
+    thread_local LaneScratch scratch;
+
+    // Lane-major weights: lane 0 of a point fit is all ones, and each
+    // member lane holds bootstrap multiplicities drawn from its own
+    // stream per (seed, kernel, member).  The resample is invariant to
+    // sample order because it indexes the canonical (sorted) list.
+    std::vector<double> &weights = scratch.weights;
+    weights.assign(n * lanes, 0.0);
+    if (point) {
+        for (size_t s = 0; s < n; ++s)
+            weights[s * lanes] = 1.0;
     }
-    fatal_if(wsum <= 0, "sparse: all sample weights are zero");
-    double mu = ysum / wsum;
+    const uint64_t salt = nameSalt(kernel_name);
+    for (size_t m = 0; m < members; ++m) {
+        const size_t lane = (point ? 1 : 0) + m;
+        Rng rng(options_.seed ^ salt ^ (0x9e3779b97f4a7c15ull * (m + 1)));
+        for (size_t s = 0; s < n; ++s) {
+            const size_t pick = static_cast<size_t>(
+                rng.uniformInt(0, static_cast<int64_t>(n) - 1));
+            weights[pick * lanes + lane] += 1.0;
+        }
+    }
 
-    // Knob values per axis, for missing-level interpolation.
-    std::vector<double> cu_knob(space_.cuValues().begin(),
-                                space_.cuValues().end());
-    const std::vector<double> &core_knob = space_.coreClks();
-    const std::vector<double> &mem_knob = space_.memClks();
+    std::vector<double> &mu = scratch.mu;
+    std::vector<double> &wsum = scratch.shift;
+    mu.assign(lanes, 0.0);
+    wsum.assign(lanes, 0.0);
+    for (size_t s = 0; s < n; ++s) {
+        for (size_t lane = 0; lane < lanes; ++lane) {
+            const double w = weights[s * lanes + lane];
+            wsum[lane] += w;
+            mu[lane] += w * samples.log_rt[s];
+        }
+    }
+    for (size_t lane = 0; lane < lanes; ++lane)
+        mu[lane] /= wsum[lane];
 
-    std::vector<double> a(space_.numCu(), 0.0);
-    std::vector<double> b(space_.numCoreClk(), 0.0);
-    std::vector<double> c(space_.numMemClk(), 0.0);
+    LaneAxis &a = scratch.cu, &b = scratch.core, &c = scratch.mem;
+    a.reset(samples.cu_i, space_.cuValues(), weights, lanes);
+    b.reset(samples.core_i, space_.coreClks(), weights, lanes);
+    c.reset(samples.mem_i, space_.memClks(), weights, lanes);
 
     // Backfitting: each sweep re-estimates one axis's level effects
-    // from the residuals of the other two, with a ridge term damping
-    // sparsely-observed levels.  A fixed sweep count (no convergence
-    // test) keeps the fit bitwise deterministic.
-    std::vector<double> num, den;
-    auto sweepAxis = [&](std::vector<double> &effect,
-                         const std::vector<size_t> &level_of,
-                         const std::vector<double> &knob,
-                         const std::vector<double> &other1,
-                         const std::vector<size_t> &other1_of,
-                         const std::vector<double> &other2,
-                         const std::vector<size_t> &other2_of) {
-        num.assign(effect.size(), 0.0);
-        den.assign(effect.size(), 0.0);
-        for (size_t s = 0; s < n; ++s) {
-            const double w = weightOf(s);
-            if (w <= 0)
-                continue;
-            const double r = samples.log_rt[s] - mu -
-                             other1[other1_of[s]] -
-                             other2[other2_of[s]];
-            num[level_of[s]] += w * r;
-            den[level_of[s]] += w;
-        }
-        for (size_t l = 0; l < effect.size(); ++l) {
-            if (den[l] > 0)
-                effect[l] = num[l] / (den[l] + options_.ridge);
-        }
-        fillMissingLevels(effect, knob, den);
-        // Re-centre so the gauge freedom (a constant can slosh
-        // between mu and any axis) cannot drift across sweeps.
-        double esum = 0, ewsum = 0;
-        for (size_t l = 0; l < effect.size(); ++l) {
-            esum += den[l] * effect[l];
-            ewsum += den[l];
-        }
-        if (ewsum > 0) {
-            const double shift = esum / ewsum;
-            for (size_t l = 0; l < effect.size(); ++l)
-                effect[l] -= shift;
-            mu += shift;
-        }
-    };
-
+    // from the residuals of the other two.  A fixed sweep count (no
+    // convergence test) keeps the fit bitwise deterministic.
     for (size_t iter = 0; iter < options_.backfit_iterations; ++iter) {
-        sweepAxis(a, samples.cu_i, cu_knob, b, samples.core_i, c,
-                  samples.mem_i);
-        sweepAxis(b, samples.core_i, core_knob, a, samples.cu_i, c,
-                  samples.mem_i);
-        sweepAxis(c, samples.mem_i, mem_knob, a, samples.cu_i, b,
-                  samples.core_i);
+        sweepLanes(a, b, c, samples.log_rt, scratch, lanes,
+                   options_.ridge);
+        sweepLanes(b, a, c, samples.log_rt, scratch, lanes,
+                   options_.ridge);
+        sweepLanes(c, a, b, samples.log_rt, scratch, lanes,
+                   options_.ridge);
     }
 
-    std::vector<double> out(space_.size());
-    size_t flat = 0;
-    for (size_t i = 0; i < space_.numCu(); ++i) {
-        for (size_t j = 0; j < space_.numCoreClk(); ++j) {
-            for (size_t k = 0; k < space_.numMemClk(); ++k) {
-                out[flat] = std::exp(mu + a[i] + b[j] + c[k]);
-                ++flat;
+    // Measured points pass through bitwise: the reconstruction never
+    // contradicts a measurement, and a full-grid fit *is* the dense
+    // census.  So exp runs at the unmeasured points only.
+    std::vector<std::vector<double>> surfaces(lanes);
+    for (size_t lane = 0; lane < lanes; ++lane) {
+        std::vector<double> &out = surfaces[lane];
+        out.resize(space_.size());
+        size_t flat = 0;
+        size_t next = 0; // next measured sample, in flat order
+        for (size_t i = 0; i < space_.numCu(); ++i) {
+            for (size_t j = 0; j < space_.numCoreClk(); ++j) {
+                const double ij = mu[lane] + a.effect[i * lanes + lane] +
+                                  b.effect[j * lanes + lane];
+                for (size_t k = 0; k < space_.numMemClk(); ++k) {
+                    if (next < n && samples.flat[next] == flat) {
+                        out[flat] = samples.runtime[next];
+                        ++next;
+                    } else {
+                        out[flat] = std::exp(ij + c.effect[k * lanes + lane]);
+                    }
+                    ++flat;
+                }
             }
         }
     }
-    return out;
+    return surfaces;
 }
 
 std::vector<double>
@@ -386,43 +513,7 @@ SparsePredictor::fitSurface(std::span<const size_t> indices,
                             std::span<const double> runtimes) const
 {
     const Samples samples = canonicalize(indices, runtimes);
-    std::vector<double> out = fitLogAdditive(samples, {});
-    // Measured points pass through bitwise: the reconstruction never
-    // contradicts a measurement, and a full-grid fit *is* the dense
-    // census.
-    for (size_t s = 0; s < samples.size(); ++s)
-        out[samples.flat[s]] = samples.runtime[s];
-    return out;
-}
-
-std::vector<std::vector<double>>
-SparsePredictor::ensembleSurfaces(const std::string &kernel_name,
-                                  const Samples &samples) const
-{
-    const uint64_t salt = nameSalt(kernel_name);
-    std::vector<std::vector<double>> members;
-    members.reserve(options_.ensemble);
-    std::vector<double> weights(samples.size());
-    for (size_t m = 0; m < options_.ensemble; ++m) {
-        // One independent stream per (seed, kernel, member): the
-        // resample is invariant to sample order because it indexes
-        // the canonical (sorted) sample list.
-        Rng rng(options_.seed ^ salt ^
-                (0x9e3779b97f4a7c15ull * (m + 1)));
-        std::fill(weights.begin(), weights.end(), 0.0);
-        for (size_t s = 0; s < samples.size(); ++s) {
-            const size_t pick = static_cast<size_t>(rng.uniformInt(
-                0, static_cast<int64_t>(samples.size()) - 1));
-            weights[pick] += 1.0;
-        }
-        std::vector<double> member = fitLogAdditive(samples, weights);
-        // Members honour the measurements too: bands collapse to
-        // zero width where the truth is known.
-        for (size_t s = 0; s < samples.size(); ++s)
-            member[samples.flat[s]] = samples.runtime[s];
-        members.push_back(std::move(member));
-    }
-    return members;
+    return std::move(fitLanes(samples, "", true, 0).front());
 }
 
 std::vector<size_t>
@@ -452,16 +543,12 @@ SparsePredictor::activePlan(
 
     // Seed: a third of the free budget by LHS, so the first ensemble
     // fit has off-slice support before the greedy loop steers.
-    const size_t free_budget = budget - plan.size();
-    const size_t seed_count = free_budget / 3;
+    const size_t seeded = plan.size() + (budget - plan.size()) / 3;
     Rng rng(options_.seed);
-    for (int round = 0;
-         round < 16 && plan.size() < anchorConfigs().size() + seed_count;
-         ++round)
-    {
+    for (int round = 0; round < 16 && plan.size() < seeded; ++round) {
         const auto candidates = lhsCandidates(budget, rng);
         for (const size_t flat : candidates) {
-            if (plan.size() >= anchorConfigs().size() + seed_count)
+            if (plan.size() >= seeded)
                 break;
             if (selected[flat])
                 continue;
@@ -474,7 +561,8 @@ SparsePredictor::activePlan(
     // flat index so the sequence is deterministic.
     while (plan.size() < budget) {
         const Samples samples = canonicalize(plan, measured);
-        const auto members = ensembleSurfaces("", samples);
+        const auto members =
+            fitLanes(samples, "", false, options_.ensemble);
         size_t best = space_.size();
         double best_spread = -1.0;
         for (size_t flat = 0; flat < space_.size(); ++flat) {
@@ -508,15 +596,16 @@ SparsePredictor::reconstruct(const std::string &kernel_name,
 {
     const Samples samples = canonicalize(indices, runtimes);
 
-    std::vector<double> point = fitLogAdditive(samples, {});
-    for (size_t s = 0; s < samples.size(); ++s)
-        point[samples.flat[s]] = samples.runtime[s];
+    // Lane 0 is the point estimate, lanes 1.. the ensemble members.
+    // Members honour the measurements too: bands collapse to zero
+    // width where the truth is known.
+    std::vector<std::vector<double>> fits =
+        fitLanes(samples, kernel_name, true, options_.ensemble);
 
-    const auto members = ensembleSurfaces(kernel_name, samples);
-
-    std::vector<double> lower = point;
-    std::vector<double> upper = point;
-    for (const auto &member : members) {
+    std::vector<double> lower = fits[0];
+    std::vector<double> upper = fits[0];
+    for (size_t m = 1; m < fits.size(); ++m) {
+        const std::vector<double> &member = fits[m];
         for (size_t j = 0; j < member.size(); ++j) {
             lower[j] = std::min(lower[j], member[j]);
             upper[j] = std::max(upper[j], member[j]);
@@ -524,7 +613,7 @@ SparsePredictor::reconstruct(const std::string &kernel_name,
     }
 
     SparseReconstruction out{
-        ScalingSurface(kernel_name, space_, std::move(point)),
+        ScalingSurface(kernel_name, space_, std::move(fits[0])),
         std::move(lower),
         std::move(upper),
         {},
@@ -534,18 +623,20 @@ SparsePredictor::reconstruct(const std::string &kernel_name,
     };
     out.cls = classifySurface(out.surface, params);
 
+    // Each member's vector moves into the surface that classifies it.
     size_t votes = 0;
     bool member_crosses = false;
-    for (size_t m = 0; m < members.size(); ++m) {
+    for (size_t m = 1; m < fits.size(); ++m) {
         const KernelClassification mc = classifySurface(
-            ScalingSurface(kernel_name, space_, members[m]), params);
+            ScalingSurface(kernel_name, space_, std::move(fits[m])),
+            params);
         if (mc.cls == out.cls.cls)
             ++votes;
         else
             member_crosses = true;
     }
     out.confidence = static_cast<double>(votes) /
-                     static_cast<double>(members.size());
+                     static_cast<double>(options_.ensemble);
 
     // Adversarial range surfaces.  The ensemble members share the
     // separable fit's bias, so the envelope alone can miss boundary
@@ -558,24 +649,31 @@ SparsePredictor::reconstruct(const std::string &kernel_name,
     // so the anchor curves (and the shape verdicts read from them)
     // are untouched; only the range statistic moves.
     const std::vector<double> &estimate = out.surface.runtimes();
-    double mean_log = 0.0;
-    for (size_t j = 0; j < estimate.size(); ++j)
-        mean_log += std::log(estimate[j]);
-    mean_log /= static_cast<double>(estimate.size());
     std::vector<double> spread(estimate.size());
     std::vector<double> shrunk(estimate.size());
+    // spread holds each estimate's log until the band edges replace
+    // it, so every log is taken once.
+    double mean_log = 0.0;
     for (size_t j = 0; j < estimate.size(); ++j) {
-        const bool fast = std::log(estimate[j]) <= mean_log;
+        spread[j] = std::log(estimate[j]);
+        mean_log += spread[j];
+    }
+    mean_log /= static_cast<double>(estimate.size());
+    for (size_t j = 0; j < estimate.size(); ++j) {
+        const bool fast = spread[j] <= mean_log;
         spread[j] = fast ? out.lower[j] : out.upper[j];
         shrunk[j] = fast ? out.upper[j] : out.lower[j];
     }
 
-    const std::vector<std::vector<double> *> band_surfaces = {
-        &out.lower, &out.upper, &spread, &shrunk};
     bool band_crosses = member_crosses;
-    for (const auto *runtimes : band_surfaces) {
+    for (std::vector<double> *band :
+         {&out.lower, &out.upper, &spread, &shrunk})
+    {
+        // Lend the band to its surface and take it back: no copy.
+        auto held = std::make_shared<std::vector<double>>(std::move(*band));
         const KernelClassification bc = classifySurface(
-            ScalingSurface(kernel_name, space_, *runtimes), params);
+            ScalingSurface(kernel_name, space_, held), params);
+        *band = std::move(*held);
         band_crosses = band_crosses || bc.cls != out.cls.cls;
     }
     out.band_crosses_boundary = band_crosses;

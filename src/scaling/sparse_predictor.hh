@@ -189,7 +189,8 @@ class SparsePredictor
      * affects the result (samples are canonicalized internally).
      *
      * @param indices distinct flat configuration indices measured.
-     * @param runtimes matching runtimes, seconds, all positive.
+     * @param runtimes matching runtimes, seconds, all finite and
+     *        positive.
      * @return predicted runtime at every grid point.
      */
     std::vector<double> fitSurface(
@@ -218,17 +219,18 @@ class SparsePredictor
                          std::span<const double> runtimes) const;
 
     /**
-     * Backfit the log-additive model over weighted samples and
-     * predict every grid point (no pass-through).  `weights` are
-     * per-sample bootstrap multiplicities; empty means all-ones.
+     * Backfit the log-additive model under several weightings of the
+     * samples in one lockstep pass, one lane per weighting, and
+     * predict every grid point of each (measured points pass
+     * through).  With `point`, lane 0 is the unit-weight point
+     * estimate; `members` bootstrap lanes follow, resampled from
+     * streams salted by `kernel_name`.
+     *
+     * @return one surface per lane, in lane order.
      */
-    std::vector<double> fitLogAdditive(
-        const Samples &samples,
-        std::span<const double> weights) const;
-
-    /** Ensemble member predictions (pass-through applied). */
-    std::vector<std::vector<double>> ensembleSurfaces(
-        const std::string &kernel_name, const Samples &samples) const;
+    std::vector<std::vector<double>> fitLanes(
+        const Samples &samples, const std::string &kernel_name,
+        bool point, size_t members) const;
 
     /** Stratified LHS stream of flat indices (may repeat). */
     std::vector<size_t> lhsCandidates(size_t count, Rng &rng) const;

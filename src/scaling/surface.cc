@@ -6,6 +6,7 @@
 #include "surface.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "base/logging.hh"
@@ -134,15 +135,79 @@ ScalingSurface::worstPerf() const
 double
 ScalingSurface::perfRange() const
 {
-    return bestPerf() / worstPerf();
+    // bestPerf() / worstPerf(), with both extremes from one pass.
+    const std::vector<double> &rt = runtimes();
+    double lo = rt[0];
+    double hi = rt[0];
+    for (const double x : rt) {
+        lo = std::min(lo, x);
+        hi = std::max(hi, x);
+    }
+    return (1.0 / lo) / (1.0 / hi);
 }
 
 double
 ScalingSurface::robustPerfRange(double tail_percent) const
 {
-    const double lo = percentile(runtimes(), tail_percent);
-    const double hi = percentile(runtimes(), 100.0 - tail_percent);
-    return hi / lo;
+    const std::vector<double> &rt = runtimes();
+    const size_t n = rt.size();
+    const PercentileRank lo = percentileRank(n, tail_percent);
+    const PercentileRank hi = percentileRank(n, 100.0 - tail_percent);
+
+    // Both tails from one buffer in one pass.  Pivots come from an
+    // evenly strided sample: p_lo a few sample ranks above the low
+    // tail, p_hi as far below the high one.  The pass writes every
+    // value <= p_lo to the front of the buffer and every value >=
+    // p_hi to the back, so the front holds the smallest values and
+    // the back the largest, each at its own rank's index.  When the
+    // pivots bracket the ranks percentile() reads, selection runs on
+    // the two short ends alone; otherwise it runs percentile().
+    constexpr size_t kSample = 64;
+    if (n >= 4 * kSample) {
+        std::array<double, kSample> sample;
+        for (size_t i = 0; i < kSample; ++i)
+            sample[i] = rt[i * n / kSample];
+        // Sample ranks of the pivots: the share of values each tail
+        // needs plus a margin, at most half the sample.
+        auto margin = [&](size_t needed) {
+            return std::min(kSample / 2 - 1, needed * kSample / n + 4);
+        };
+        const size_t r_lo = margin(lo.hi + 1);
+        const size_t r_hi = kSample - 1 - margin(n - hi.lo);
+        std::nth_element(sample.begin(), sample.begin() + r_lo,
+                         sample.end());
+        std::nth_element(sample.begin() + r_lo + 1,
+                         sample.begin() + r_hi, sample.end());
+        const double p_lo = sample[r_lo];
+        const double p_hi = sample[r_hi];
+
+        thread_local std::vector<double> work;
+        work.resize(n);
+        size_t front = 0;
+        size_t back = n;
+        if (p_lo < p_hi) {
+            // No value goes to both ends, so front < back before
+            // every write.
+            for (const double x : rt) {
+                work[front] = x;
+                work[back - 1] = x;
+                front += x <= p_lo ? 1 : 0;
+                back -= x >= p_hi ? 1 : 0;
+            }
+        }
+        if (lo.hi < front && back <= hi.lo) {
+            const auto w = work.begin();
+            std::nth_element(w, w + lo.lo, w + front);
+            const double low =
+                lo.between(w[lo.lo], *std::min_element(w + lo.hi, w + front));
+            std::nth_element(w + back, w + hi.lo, work.end());
+            const double high = hi.between(
+                w[hi.lo], *std::min_element(w + hi.hi, work.end()));
+            return high / low;
+        }
+    }
+    return percentile(rt, 100.0 - tail_percent) /
+           percentile(rt, tail_percent);
 }
 
 std::vector<double>

@@ -13,7 +13,10 @@
  *    cache, surfaces and classification included;
  *  - a one-thread evaluateGridRuntimes loop over the zoo averages at
  *    most two allocations per kernel: the result vector, plus the
- *    Amdahl buffer of kernels with a serial phase.
+ *    Amdahl buffer of kernels with a serial phase;
+ *  - a cold 10%-budget LHS runSparseCensus makes at most
+ *    kSparseAllocsPerKernel allocations per kernel: plan, cache,
+ *    lockstep fit and the 17 surfaces each reconstruction classifies.
  *
  * The counter sees every thread, so pool workers count too.  The
  * budgets hold under the sanitizers as well: they intercept malloc,
@@ -29,6 +32,7 @@
 
 #include "gpu/analytic_model.hh"
 #include "harness/experiment.hh"
+#include "harness/sparse.hh"
 #include "harness/sweep_cache.hh"
 #include "scaling/config_space.hh"
 #include "workloads/registry.hh"
@@ -69,6 +73,9 @@ constexpr uint64_t kAllocsPerKernel = 12;
 /** Allocations per kernel the bare batched model may make. */
 constexpr double kModelAllocsPerKernel = 2.0;
 
+/** Allocations per kernel a cold sparse census may make. */
+constexpr uint64_t kSparseAllocsPerKernel = 100;
+
 uint64_t
 allocations()
 {
@@ -100,6 +107,36 @@ TEST(CensusAllocsTest, ColdPaperGridCensusStaysWithinBudget)
     const uint64_t budget = kAllocsPerKernel * kernels;
     EXPECT_LE(made, budget)
         << "a cold census made " << made << " allocations ("
+        << static_cast<double>(made) / static_cast<double>(kernels)
+        << " per kernel); the budget is " << budget;
+    RecordProperty("allocations", static_cast<int>(made));
+}
+
+TEST(CensusAllocsTest, ColdSparseCensusStaysWithinBudget)
+{
+    const gpu::AnalyticModel model;
+    const auto space = scaling::ConfigSpace::paperGrid();
+    const size_t kernels =
+        workloads::WorkloadRegistry::instance().allKernels().size();
+    harness::SparseCensusOptions options;
+    options.samples = space.size() / 10;
+
+    // Warm-up, as above: threads, registries and per-thread buffers.
+    for (int i = 0; i < 3; ++i) {
+        harness::SweepCache::instance().clear();
+        const auto census = harness::runSparseCensus(model, space, options);
+        ASSERT_EQ(census.reconstructions.size(), kernels);
+    }
+
+    harness::SweepCache::instance().clear();
+    const uint64_t before = allocations();
+    const auto census = harness::runSparseCensus(model, space, options);
+    const uint64_t made = allocations() - before;
+    ASSERT_EQ(census.reconstructions.size(), kernels);
+
+    const uint64_t budget = kSparseAllocsPerKernel * kernels;
+    EXPECT_LE(made, budget)
+        << "a cold sparse census made " << made << " allocations ("
         << static_cast<double>(made) / static_cast<double>(kernels)
         << " per kernel); the budget is " << budget;
     RecordProperty("allocations", static_cast<int>(made));

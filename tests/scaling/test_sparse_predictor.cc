@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -231,6 +232,78 @@ TEST(SparsePredictorTest, MeasuredPointsPassThroughWithZeroBands)
     }
 }
 
+/** FNV-1a over `bytes` raw bytes, continuing from `h`. */
+uint64_t
+fnv1a(uint64_t h, const void *data, size_t bytes)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * Every output byte of one reconstruction folded into `h`: the point
+ * surface, both band edges, confidence, band flag and class.
+ */
+uint64_t
+digestInto(uint64_t h, const SparseReconstruction &rec)
+{
+    const auto &point = rec.surface.runtimes();
+    h = fnv1a(h, point.data(), point.size() * sizeof(double));
+    h = fnv1a(h, rec.lower.data(), rec.lower.size() * sizeof(double));
+    h = fnv1a(h, rec.upper.data(), rec.upper.size() * sizeof(double));
+    h = fnv1a(h, &rec.confidence, sizeof rec.confidence);
+    const unsigned char band = rec.band_crosses_boundary ? 1 : 0;
+    h = fnv1a(h, &band, 1);
+    const int cls = static_cast<int>(rec.cls.cls);
+    return fnv1a(h, &cls, sizeof cls);
+}
+
+/**
+ * Digest of the 89-sample (10%) paper-grid reconstruction of every
+ * `stride`-th zoo kernel, LHS or active plan.
+ */
+uint64_t
+zooDigest(uint64_t seed, SamplerKind sampler, size_t stride)
+{
+    const gpu::AnalyticModel model;
+    const auto space = ConfigSpace::paperGrid();
+    SparseFitOptions options;
+    options.seed = seed;
+    const SparsePredictor predictor(space, options);
+    const auto lhs = predictor.lhsPlan(89);
+
+    const auto kernels =
+        workloads::WorkloadRegistry::instance().allKernels();
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (size_t k = 0; k < kernels.size(); k += stride) {
+        const auto dense = harness::sweepKernel(model, *kernels[k], space);
+        const auto plan =
+            sampler == SamplerKind::Lhs
+                ? lhs
+                : predictor.activePlan(89, [&](size_t flat) {
+                      return dense.runtimes()[flat];
+                  });
+        h = digestInto(h, predictor.reconstruct(kernels[k]->name, plan,
+                                                runtimesAt(dense, plan)));
+    }
+    return h;
+}
+
+TEST(SparsePredictorTest, ZooReconstructionDigestsArePinned)
+{
+    // The golden sparse CSV prints the point surface's columns only;
+    // these digests pin every byte of the bands as well.  A change to
+    // the fit, the ensemble or the classifier that moves any output
+    // bit fails here.
+    EXPECT_EQ(zooDigest(0, SamplerKind::Lhs, 1), 0xb20122e2b9a64f27ull);
+    EXPECT_EQ(zooDigest(3, SamplerKind::Lhs, 1), 0x389a556a4ba12926ull);
+    EXPECT_EQ(zooDigest(0, SamplerKind::Active, 16), 0x7263bb245d2cf51aull);
+}
+
 TEST(SparsePredictorTest, SamplerKindNamesRoundTrip)
 {
     SamplerKind kind = SamplerKind::Active;
@@ -268,11 +341,28 @@ TEST_F(SparsePredictorFatalTest, RejectsBadBudgetsAndSamples)
         predictor.activePlan(predictor.minSamples() - 1, measure),
         std::runtime_error);
 
-    // Malformed samples.
+    // Malformed samples.  A runtime must be finite and positive: one
+    // +inf among the samples would reconstruct most of the grid as
+    // non-finite, and NaN is no runtime at all.
     const std::vector<size_t> one_idx{0};
-    const std::vector<double> negative{-1.0};
-    EXPECT_THROW(predictor.fitSurface(one_idx, negative),
-                 std::runtime_error);
+    for (const double bad : {-1.0, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()})
+    {
+        const std::vector<double> one_bad{bad};
+        EXPECT_THROW(predictor.fitSurface(one_idx, one_bad),
+                     std::runtime_error)
+            << bad;
+        const auto plan = predictor.lhsPlan(12);
+        auto runtimes = runtimesAt(dense, plan);
+        runtimes[7] = bad;
+        EXPECT_THROW(predictor.fitSurface(plan, runtimes),
+                     std::runtime_error)
+            << bad;
+        EXPECT_THROW(predictor.reconstruct(dense.kernelName(), plan,
+                                           runtimes),
+                     std::runtime_error)
+            << bad;
+    }
     const std::vector<size_t> out_of_range{space.size()};
     const std::vector<double> ok{1.0};
     EXPECT_THROW(predictor.fitSurface(out_of_range, ok),

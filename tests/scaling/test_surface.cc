@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "base/logging.hh"
+#include "base/math_util.hh"
+#include "base/random.hh"
 
 namespace gpuscale {
 namespace scaling {
@@ -110,6 +115,65 @@ TEST(SurfaceTest, RobustRangeTracksRealSensitivity)
     // A genuinely sensitive surface keeps a large robust range.
     EXPECT_GT(s.robustPerfRange(), 20.0);
     EXPECT_LE(s.robustPerfRange(), s.perfRange());
+}
+
+/** A cu x core x mem grid with strictly increasing knobs. */
+ConfigSpace
+gridOf(size_t cus, size_t cores, size_t mems)
+{
+    std::vector<int> cu;
+    std::vector<double> core, mem;
+    for (size_t i = 0; i < cus; ++i)
+        cu.push_back(static_cast<int>(4 * (i + 1)));
+    for (size_t j = 0; j < cores; ++j)
+        core.push_back(100.0 * static_cast<double>(j + 1));
+    for (size_t k = 0; k < mems; ++k)
+        mem.push_back(100.0 * static_cast<double>(k + 1));
+    return ConfigSpace(cu, core, mem);
+}
+
+TEST(SurfaceTest, RangesAreBitwiseTheirDefinitions)
+{
+    // robustPerfRange selects both tails in one pass and perfRange
+    // finds both extremes in one.  Each must equal the definition it
+    // stands for bit for bit: two percentile() calls, and
+    // min_element / max_element.  Inputs cover tiny grids, ties, and
+    // the descending order of a real surface's flat layout.
+    const std::vector<ConfigSpace> spaces = {
+        gridOf(1, 1, 1),
+        gridOf(2, 1, 1),
+        gridOf(3, 1, 1),
+        gridOf(2, 2, 1),
+        ConfigSpace::testGrid(),
+        ConfigSpace::paperGrid(),
+    };
+    Rng rng(2015);
+    for (const ConfigSpace &space : spaces) {
+        for (int trial = 0; trial < 32; ++trial) {
+            const bool ties = trial % 2 == 1;
+            std::vector<double> rt(space.size());
+            for (double &x : rt) {
+                x = ties ? 1.0 + static_cast<double>(rng.uniformInt(0, 3))
+                         : std::exp(rng.uniform() * 8.0 - 12.0);
+            }
+            if (trial % 4 >= 2)
+                std::sort(rt.rbegin(), rt.rend());
+            const ScalingSurface s("synthetic/ranges/k", space, rt);
+            for (const double tail : {0.0, 2.0, 2.5, 25.0, 50.0}) {
+                EXPECT_EQ(s.robustPerfRange(tail),
+                          percentile(rt, 100.0 - tail) /
+                              percentile(rt, tail))
+                    << "n=" << rt.size() << " trial " << trial
+                    << " tail " << tail;
+            }
+            const double best =
+                1.0 / *std::min_element(rt.begin(), rt.end());
+            const double worst =
+                1.0 / *std::max_element(rt.begin(), rt.end());
+            EXPECT_EQ(s.perfRange(), best / worst)
+                << "n=" << rt.size() << " trial " << trial;
+        }
+    }
 }
 
 class SurfaceErrorTest : public ::testing::Test
