@@ -132,9 +132,9 @@ run(const RunnerOptions &opts)
                 kernels.size(), space.size(), estimates, threads);
 
     //
-    // 1. The engine under test: batched evaluateGrid + kernel shards
-    //    across the worker pool.  The cache is dropped per run so the
-    //    number is compute, not lookups.
+    // 1. The engine under test: batched evaluateGridRuntimes + kernel
+    //    shards across the worker pool.  The cache is dropped per run
+    //    so the number is compute, not lookups.
     //
     const bench::TimingStats batched =
         bench::minOfN(opts.warmup, opts.runs, [&] {

@@ -202,16 +202,16 @@ FaultInjector::armFromEnv()
 
     uint64_t seed = 0;
     if (const char *seed_text = std::getenv("GPUSCALE_FAULT_SEED")) {
-        const std::optional<double> parsed = parseDouble(seed_text);
-        if (!parsed || *parsed < 0 ||
-            *parsed != static_cast<uint64_t>(*parsed)) {
+        const std::optional<uint64_t> parsed =
+            parseInteger<uint64_t>(seed_text);
+        if (!parsed) {
             std::fprintf(stderr,
                          "GPUSCALE_FAULT_SEED: '%s' is not a "
                          "non-negative integer\n",
                          seed_text);
             std::exit(2);
         }
-        seed = static_cast<uint64_t>(*parsed);
+        seed = *parsed;
     }
 
     arm(*plan, seed);

@@ -6,9 +6,12 @@
 #ifndef GPUSCALE_BASE_STRING_UTIL_HH
 #define GPUSCALE_BASE_STRING_UTIL_HH
 
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace gpuscale {
@@ -60,6 +63,41 @@ std::string formatDoubleGeneral(double v, int sig_digits);
  * makes the parse fail.  Returns nullopt on failure.
  */
 std::optional<double> parseDouble(std::string_view s);
+
+/**
+ * Parse a whole number of integer type T in parseDouble() syntax
+ * ("64", "1e3", " 8 "), checking T's range *before* converting:
+ * converting a double outside T's range is undefined behaviour, so
+ * "x != static_cast<T>(x)" cannot be the check.  Returns nullopt for
+ * a non-number, a value outside T's range, or — unless `truncate` —
+ * a fraction; with `truncate` a fraction is cut toward zero, as a
+ * plain cast would.
+ *
+ * The text is read as a double, so past 2^53 it rounds to the nearest
+ * double before the range check: a 64-bit type's max() itself rounds
+ * up to 2^64 and is rejected.
+ */
+template <typename T>
+std::optional<T>
+parseInteger(std::string_view s, bool truncate = false)
+{
+    static_assert(std::is_integral_v<T>, "parseInteger needs an integer");
+    const std::optional<double> v = parseDouble(s);
+    if (!v)
+        return std::nullopt;
+    const double whole = std::trunc(*v);
+    if (whole != *v && !truncate)
+        return std::nullopt;
+    // max() + 1 is a power of two, so it is exact as a double even
+    // where max() is not; lowest() is exact for every integer type.
+    constexpr double lo =
+        static_cast<double>(std::numeric_limits<T>::lowest());
+    constexpr double end =
+        2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+    if (!(whole >= lo && whole < end)) // NaN fails both
+        return std::nullopt;
+    return static_cast<T>(whole);
+}
 
 /** True if s starts with the given prefix. */
 bool startsWith(std::string_view s, std::string_view prefix);

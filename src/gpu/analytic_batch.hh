@@ -4,8 +4,8 @@
  * batched analytic census walk.
  *
  * The analytic model's grid evaluation is staged by how often each
- * quantity changes (see AnalyticModel::evaluateGrid): stages 1-2
- * hoist kernel invariants and per-CU machine state into the plain
+ * quantity changes (see AnalyticModel::evaluateGridRuntimes): stages
+ * 1-2 hoist kernel invariants and per-CU machine state into the plain
  * double arrays below, and stage 3 — runBatch() — is a single
  * contiguous loop over (core clock, memory clock) doing only
  * clock-domain arithmetic: no virtual calls, no GpuConfig

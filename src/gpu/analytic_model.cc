@@ -3,7 +3,7 @@
  * Analytic model implementation.
  *
  * The evaluation is staged so the batched census walk can hoist work
- * out of the inner loops (see evaluateGrid() in the header):
+ * out of the inner loops (see evaluateGridRuntimes() in the header):
  * Invariants captures everything derived from the kernel and the
  * fixed microarchitecture alone, CuState everything that additionally
  * depends on the compute-unit count, and the clock-domain arithmetic
@@ -242,9 +242,7 @@ namespace {
 /**
  * Fill every KernelPerf field of one point from the flat operands:
  * the roofline terms, bound selection, the Amdahl fold, per-launch
- * host overhead, and the delivered-rate bookkeeping.  Shared by the
- * scalar estimatePoint() and the batched row reconstitution, so the
- * two fill rows identically by construction.
+ * host overhead, and the delivered-rate bookkeeping.
  *
  * `serial_core_s` is the one-CU machine's kernel time (its roofline
  * max), ignored when serial_fraction is zero.
@@ -390,8 +388,7 @@ AnalyticModel::estimate(const KernelDesc &kernel,
 
 void
 AnalyticModel::fillPlan(const KernelDesc &kernel, const ConfigGrid &grid,
-                        batch::BatchPlan &plan,
-                        std::vector<CuState> *states) const
+                        batch::BatchPlan &plan) const
 {
     kernel.validate();
     grid.validate();
@@ -435,10 +432,6 @@ AnalyticModel::fillPlan(const KernelDesc &kernel, const ConfigGrid &grid,
     }
 
     plan.cu.resize(grid.numCu());
-    if (states) {
-        states->clear();
-        states->reserve(grid.numCu());
-    }
     for (size_t cu_i = 0; cu_i < grid.numCu(); ++cu_i) {
         // Occupancy, cache, quantization, dispatch: once per CU
         // setting, reused across all clock pairs.
@@ -448,8 +441,6 @@ AnalyticModel::fillPlan(const KernelDesc &kernel, const ConfigGrid &grid,
         plan.cu[cu_i] = makeCuTerms(inv, cu, units, arch);
         if (cu_i == 0)
             plan.launch_overhead_s = cu.disp.launch_overhead_s;
-        if (states)
-            states->push_back(cu);
     }
 
     // The Amdahl phase always runs on a one-CU machine, so its
@@ -470,7 +461,7 @@ AnalyticModel::prepareBatch(const KernelDesc &kernel,
                             const ConfigGrid &grid) const
 {
     batch::BatchPlan plan;
-    fillPlan(kernel, grid, plan, nullptr);
+    fillPlan(kernel, grid, plan);
     return plan;
 }
 
@@ -482,100 +473,14 @@ AnalyticModel::evaluateGridRuntimes(const KernelDesc &kernel,
         obs::Registry::instance().counter(
             "model.analytic.estimates",
             "analytic-model evaluations");
-    static obs::Counter &batches =
-        obs::Registry::instance().counter(
-            "model.analytic.grid.batches",
-            "batched grid evaluations");
     evaluations.inc(grid.size());
-    batches.inc();
 
     // One plan per thread, refilled in full by every call: once its
     // vectors have the grid's shape, stages 1-2 allocate nothing.
     thread_local batch::BatchPlan plan;
-    fillPlan(kernel, grid, plan, nullptr);
+    fillPlan(kernel, grid, plan);
     std::vector<double> out(grid.size());
     batch::runBatch(plan, out.data());
-    return out;
-}
-
-std::vector<KernelPerf>
-AnalyticModel::evaluateGrid(const KernelDesc &kernel,
-                            const ConfigGrid &grid) const
-{
-    static obs::Counter &evaluations =
-        obs::Registry::instance().counter(
-            "model.analytic.estimates",
-            "analytic-model evaluations");
-    static obs::Counter &batches =
-        obs::Registry::instance().counter(
-            "model.analytic.grid.batches",
-            "batched grid evaluations");
-    evaluations.inc(grid.size());
-    batches.inc();
-
-    // Reconstitute full KernelPerf rows from the same flat plan the
-    // runtimes path feeds to batch::runBatch(): the roofline terms
-    // hoist to the (CU, core clock) level, the per-point work is the
-    // memory-clock arithmetic plus assemblePoint(), and the
-    // occupancy/cache snapshots come from the retained CuStates.
-    batch::BatchPlan plan;
-    std::vector<CuState> states;
-    fillPlan(kernel, grid, plan, &states);
-
-    // The DRAM model depends only on the memory clock: one instance
-    // per axis value, shared by every row.
-    std::vector<MemorySystem> mem_systems;
-    mem_systems.reserve(grid.numMemClk());
-    for (size_t mem_i = 0; mem_i < grid.numMemClk(); ++mem_i)
-        mem_systems.emplace_back(grid.at(0, 0, mem_i));
-
-    const size_t n_core = grid.numCoreClk();
-    const size_t n_mem = grid.numMemClk();
-
-    // The serial machine's core-domain max is CU-invariant.
-    std::vector<double> serial_base(plan.has_serial ? n_core : 0);
-    for (size_t c = 0; c < serial_base.size(); ++c) {
-        serial_base[c] =
-            batch::computeCoreTerms(plan.kernel, plan.serial_cu,
-                                    plan.core_clk_hz[c],
-                                    plan.core_time_s[c],
-                                    plan.l2_hop_s[c],
-                                    plan.dram_hop_s[c],
-                                    plan.atomic_rate[c])
-                .base_max;
-    }
-
-    std::vector<KernelPerf> out(grid.size());
-    size_t flat = 0;
-    for (size_t cu_i = 0; cu_i < grid.numCu(); ++cu_i) {
-        const CuState &cu = states[cu_i];
-        const batch::CuTerms &terms = plan.cu[cu_i];
-        for (size_t c = 0; c < n_core; ++c) {
-            const batch::CoreTerms ct = batch::computeCoreTerms(
-                plan.kernel, terms, plan.core_clk_hz[c],
-                plan.core_time_s[c], plan.l2_hop_s[c],
-                plan.dram_hop_s[c], plan.atomic_rate[c]);
-            for (size_t m = 0; m < n_mem; ++m) {
-                KernelPerf &perf = out[flat++];
-                perf.occupancy = cu.occ;
-                perf.cache = cu.cache;
-                perf.imbalance_factor = cu.imbalance;
-                const double t_dram =
-                    terms.dram_bytes / plan.dram_bw[m];
-                double serial_core_s = 0.0;
-                if (plan.has_serial) {
-                    serial_core_s = std::max(
-                        serial_base[c],
-                        plan.serial_cu.dram_bytes / plan.dram_bw[m]);
-                }
-                assemblePoint(perf, ct, t_dram, terms.dram_bytes,
-                              mem_systems[m], plan.serial_fraction,
-                              serial_core_s, plan.launches,
-                              plan.launch_overhead_s,
-                              plan.total_flops);
-            }
-        }
-    }
     return out;
 }
 

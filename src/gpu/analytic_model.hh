@@ -71,22 +71,15 @@ class AnalyticModel : public PerfModel
      *    arithmetic and the roofline max, on the flat SoA operands of
      *    batch::BatchPlan (see analytic_batch.hh).
      *
-     * Every stage runs the same arithmetic as the scalar estimate()
-     * path — the shared helpers in analytic_batch.hh are called by
-     * both — so the two are bitwise identical point-for-point; the
-     * differential tests assert exactly that.
-     */
-    std::vector<KernelPerf> evaluateGrid(
-        const KernelDesc &kernel,
-        const ConfigGrid &grid) const override;
-
-    /**
-     * The runtimes-only hot path: stages 1-2 into a per-thread plan
-     * whose vectors keep their capacity from call to call (so a warm
-     * thread allocates nothing there), stage 3 via batch::runBatch()
-     * straight into the flat result — no KernelPerf materialization
-     * at all.  This is what the sweep harness calls and what the
-     * >= 8x single-core bench gate measures.
+     * Stages 1-2 fill a per-thread plan whose vectors keep their
+     * capacity from call to call (so a warm thread allocates nothing
+     * there); stage 3, batch::runBatch(), writes straight into the
+     * flat result — no KernelPerf materialization at all.  Every
+     * stage runs the same arithmetic as the scalar estimate() path —
+     * the shared helpers in analytic_batch.hh are called by both — so
+     * the two are bitwise identical point-for-point; the differential
+     * tests assert exactly that.  This is what the sweep harness
+     * calls and what the >= 8x single-core bench gate measures.
      */
     std::vector<double> evaluateGridRuntimes(
         const KernelDesc &kernel,
@@ -139,13 +132,10 @@ class AnalyticModel : public PerfModel
     /**
      * Stages 1-2: validate, then refill every field of `plan`.  Its
      * vectors are resized in place, so a reused plan allocates
-     * nothing once it has seen the grid's shape.  With `states` the
-     * CuStates are kept too: evaluateGrid() needs the occupancy and
-     * cache snapshots for the reconstituted KernelPerf rows.
+     * nothing once it has seen the grid's shape.
      */
     void fillPlan(const KernelDesc &kernel, const ConfigGrid &grid,
-                  batch::BatchPlan &plan,
-                  std::vector<CuState> *states) const;
+                  batch::BatchPlan &plan) const;
 
     /**
      * Full single-point estimate from precomputed stages.  `serial_cu`

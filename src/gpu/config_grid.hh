@@ -3,17 +3,17 @@
  * ConfigGrid: the gpu-layer view of a dense 3-axis configuration
  * grid.
  *
- * The batched model entry point (PerfModel::evaluateGrid) needs the
- * grid *structure* — which of the three swept knobs changes fastest —
- * not just a flat list of configurations, because hoisting
+ * The model's grid entry point (PerfModel::evaluateGridRuntimes)
+ * needs the grid *structure* — which of the three swept knobs changes
+ * fastest — not just a flat list of configurations, because hoisting
  * kernel-invariant and CU-invariant work out of the inner loops is
- * what makes the batched path fast.  scaling::ConfigSpace converts to
- * this type (scaling sits above gpu in the layer order, so the
- * dependency points the right way).
+ * what makes the batched path fast.  scaling::ConfigSpace is a view
+ * of one immutable ConfigGrid (scaling sits above gpu in the layer
+ * order, so the dependency points the right way).
  *
- * Flattening matches ConfigSpace: cu is the slowest axis, memory
- * clock the fastest, i.e. flat = (cu_i * n_core + core_i) * n_mem +
- * mem_i.
+ * Flattening, which ConfigSpace shares: cu is the slowest axis,
+ * memory clock the fastest, i.e. flat = (cu_i * n_core + core_i) *
+ * n_mem + mem_i.
  */
 
 #ifndef GPUSCALE_GPU_CONFIG_GRID_HH

@@ -11,31 +11,20 @@
 namespace gpuscale {
 namespace gpu {
 
-std::vector<KernelPerf>
-PerfModel::evaluateGrid(const KernelDesc &kernel,
-                        const ConfigGrid &grid) const
-{
-    grid.validate();
-    std::vector<KernelPerf> out(grid.size());
-    for (size_t cu_i = 0; cu_i < grid.numCu(); ++cu_i) {
-        for (size_t core_i = 0; core_i < grid.numCoreClk(); ++core_i) {
-            for (size_t mem_i = 0; mem_i < grid.numMemClk(); ++mem_i) {
-                out[grid.flatten(cu_i, core_i, mem_i)] =
-                    estimate(kernel, grid.at(cu_i, core_i, mem_i));
-            }
-        }
-    }
-    return out;
-}
-
 std::vector<double>
 PerfModel::evaluateGridRuntimes(const KernelDesc &kernel,
                                 const ConfigGrid &grid) const
 {
-    const std::vector<KernelPerf> perfs = evaluateGrid(kernel, grid);
-    std::vector<double> out(perfs.size());
-    for (size_t i = 0; i < perfs.size(); ++i)
-        out[i] = perfs[i].time_s;
+    grid.validate();
+    std::vector<double> out(grid.size());
+    for (size_t cu_i = 0; cu_i < grid.numCu(); ++cu_i) {
+        for (size_t core_i = 0; core_i < grid.numCoreClk(); ++core_i) {
+            for (size_t mem_i = 0; mem_i < grid.numMemClk(); ++mem_i) {
+                out[grid.flatten(cu_i, core_i, mem_i)] =
+                    estimate(kernel, grid.at(cu_i, core_i, mem_i)).time_s;
+            }
+        }
+    }
     return out;
 }
 

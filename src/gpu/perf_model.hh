@@ -41,30 +41,17 @@ class PerfModel
                                 const GpuConfig &cfg) const = 0;
 
     /**
-     * Estimate the kernel on every grid point, returned in
-     * ConfigGrid::flatten order.
-     *
-     * The base implementation is the scalar oracle: one estimate()
-     * call per point, so any override is checkable against it
-     * point-for-point (the differential tests assert bitwise-equal
-     * runtimes).  Models with structure to exploit (AnalyticModel)
-     * override this with a batched walk that hoists kernel- and
-     * CU-invariant work out of the clock loops.
-     */
-    virtual std::vector<KernelPerf> evaluateGrid(
-        const KernelDesc &kernel, const ConfigGrid &grid) const;
-
-    /**
      * Estimate only the end-to-end runtime (KernelPerf::time_s) of
      * every grid point, in ConfigGrid::flatten order.
      *
      * This is the census hot path: the sweep harness keys its cache
-     * on exactly this vector, so overrides must return bitwise the
-     * same doubles evaluateGrid() reports in time_s (the differential
-     * tests assert it).  The base implementation extracts the field
-     * from evaluateGrid(); AnalyticModel overrides it with a flat
-     * structure-of-arrays kernel that skips KernelPerf
-     * materialization entirely (see analytic_batch.hh).
+     * on exactly this vector.  The base implementation is the scalar
+     * oracle — one estimate() call per point — so any override is
+     * checkable against it point-for-point, and overrides must return
+     * bitwise the same doubles (the differential tests assert it).
+     * AnalyticModel overrides it with a flat structure-of-arrays walk
+     * that hoists kernel- and CU-invariant work out of the clock
+     * loops (see analytic_batch.hh).
      */
     virtual std::vector<double> evaluateGridRuntimes(
         const KernelDesc &kernel, const ConfigGrid &grid) const;

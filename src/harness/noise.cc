@@ -47,16 +47,6 @@ NoisyModel::noiseFactor(const gpu::KernelDesc &kernel,
     return std::exp(rng.normal(0.0, sigma_));
 }
 
-void
-NoisyModel::perturb(const gpu::KernelDesc &kernel,
-                    const gpu::GpuConfig &cfg,
-                    gpu::KernelPerf &perf) const
-{
-    const double factor = noiseFactor(kernel, cfg);
-    perf.time_s *= factor;
-    perf.kernel_time_s *= factor;
-}
-
 gpu::KernelPerf
 NoisyModel::estimate(const gpu::KernelDesc &kernel,
                      const gpu::GpuConfig &cfg) const
@@ -64,26 +54,10 @@ NoisyModel::estimate(const gpu::KernelDesc &kernel,
     gpu::KernelPerf perf = inner_.estimate(kernel, cfg);
     if (sigma_ == 0.0)
         return perf;
-    perturb(kernel, cfg, perf);
+    const double factor = noiseFactor(kernel, cfg);
+    perf.time_s *= factor;
+    perf.kernel_time_s *= factor;
     return perf;
-}
-
-std::vector<gpu::KernelPerf>
-NoisyModel::evaluateGrid(const gpu::KernelDesc &kernel,
-                         const gpu::ConfigGrid &grid) const
-{
-    std::vector<gpu::KernelPerf> out = inner_.evaluateGrid(kernel, grid);
-    if (sigma_ == 0.0)
-        return out;
-    for (size_t cu_i = 0; cu_i < grid.numCu(); ++cu_i) {
-        for (size_t core_i = 0; core_i < grid.numCoreClk(); ++core_i) {
-            for (size_t mem_i = 0; mem_i < grid.numMemClk(); ++mem_i) {
-                perturb(kernel, grid.at(cu_i, core_i, mem_i),
-                        out[grid.flatten(cu_i, core_i, mem_i)]);
-            }
-        }
-    }
-    return out;
 }
 
 std::vector<double>

@@ -41,18 +41,9 @@ class NoisyModel : public gpu::PerfModel
                              const gpu::GpuConfig &cfg) const override;
 
     /**
-     * Batched walk: the inner model's evaluateGrid() plus the same
-     * per-point perturbation as estimate(), so the noisy batched and
-     * scalar paths stay bitwise identical too.
-     */
-    std::vector<gpu::KernelPerf> evaluateGrid(
-        const gpu::KernelDesc &kernel,
-        const gpu::ConfigGrid &grid) const override;
-
-    /**
      * Runtimes hot path: the inner model's flat vector scaled by the
-     * same per-point factor perturb() applies to time_s, preserving
-     * the bitwise contract with evaluateGrid() and estimate().
+     * same per-point factor estimate() applies to time_s, so the
+     * noisy grid and scalar paths stay bitwise identical too.
      */
     std::vector<double> evaluateGridRuntimes(
         const gpu::KernelDesc &kernel,
@@ -73,10 +64,6 @@ class NoisyModel : public gpu::PerfModel
   private:
     double noiseFactor(const gpu::KernelDesc &kernel,
                        const gpu::GpuConfig &cfg) const;
-
-    void perturb(const gpu::KernelDesc &kernel,
-                 const gpu::GpuConfig &cfg,
-                 gpu::KernelPerf &perf) const;
 
     const gpu::PerfModel &inner_;
     double sigma_;

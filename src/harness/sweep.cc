@@ -122,7 +122,7 @@ scaling::ScalingSurface
 sweepKernel(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
             const scaling::ConfigSpace &space)
 {
-    const gpu::ConfigGrid grid = space.grid();
+    const gpu::ConfigGrid &grid = space.grid();
     return scaling::ScalingSurface(
         kernel.name, space,
         sweepOne(model, kernel, grid,
@@ -140,7 +140,7 @@ sweepKernels(const gpu::PerfModel &model,
         panic_if(kernel == nullptr, "sweepKernels: null kernel");
 
     SweepMetrics &metrics = SweepMetrics::get();
-    const gpu::ConfigGrid grid = space.grid();
+    const gpu::ConfigGrid &grid = space.grid();
     // The model and the grid are the same for every kernel, so their
     // fingerprints are taken once here, not once per key.
     const std::string model_fp = model.fingerprint();

@@ -26,9 +26,9 @@ namespace harness {
 class CensusJournal;
 
 /**
- * Measure one kernel at every grid point — one batched
- * PerfModel::evaluateGrid() call, served from the SweepCache when the
- * identical (model, kernel, grid) sweep has run before.
+ * Measure one kernel at every grid point — one
+ * PerfModel::evaluateGridRuntimes() call, served from the SweepCache
+ * when the identical (model, kernel, grid) sweep has run before.
  *
  * @return the kernel's scaling surface.
  */

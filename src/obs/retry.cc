@@ -88,11 +88,10 @@ RetryPolicy::fromEnv()
     const auto fields = split(text, ':');
     bool ok = fields.size() >= 1 && fields.size() <= 3;
     if (ok) {
-        const auto attempts = parseDouble(fields[0]);
-        ok = attempts && *attempts >= 1 &&
-             *attempts == static_cast<int>(*attempts);
+        const auto attempts = parseInteger<int>(fields[0]);
+        ok = attempts && *attempts >= 1;
         if (ok)
-            policy.max_attempts = static_cast<int>(*attempts);
+            policy.max_attempts = *attempts;
     }
     if (ok && fields.size() >= 2) {
         const auto base = parseDouble(fields[1]);

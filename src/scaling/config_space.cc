@@ -10,37 +10,15 @@
 namespace gpuscale {
 namespace scaling {
 
-namespace {
-
-template <typename T>
-void
-checkAxis(const std::vector<T> &axis, const char *name)
-{
-    fatal_if(axis.empty(), "config-space axis '%s' is empty", name);
-    for (size_t i = 1; i < axis.size(); ++i) {
-        fatal_if(axis[i] <= axis[i - 1],
-                 "config-space axis '%s' is not strictly increasing",
-                 name);
-    }
-}
-
-} // namespace
-
 ConfigSpace::ConfigSpace(std::vector<int> cu_values,
                          std::vector<double> core_clks,
                          std::vector<double> mem_clks,
                          gpu::GpuConfig base)
-    : axes_(std::make_shared<const Axes>(
-          Axes{std::move(cu_values), std::move(core_clks),
-               std::move(mem_clks), base}))
+    : grid_(std::make_shared<const gpu::ConfigGrid>(
+          gpu::ConfigGrid{std::move(cu_values), std::move(core_clks),
+                          std::move(mem_clks), base}))
 {
-    checkAxis(axes_->cu_values, "compute-units");
-    checkAxis(axes_->core_clks, "core-clock");
-    checkAxis(axes_->mem_clks, "memory-clock");
-    // Validate the extreme points once; interior points share the
-    // same fixed parameters.
-    minConfig().validate();
-    maxConfig().validate();
+    grid_->validate();
 }
 
 ConfigSpace
@@ -71,30 +49,6 @@ ConfigSpace::testGrid()
                        {150.0, 700.0, 1250.0});
 }
 
-size_t
-ConfigSpace::flatten(size_t cu_i, size_t core_i, size_t mem_i) const
-{
-    panic_if(cu_i >= numCu() || core_i >= numCoreClk() ||
-                 mem_i >= numMemClk(),
-             "config index (%zu, %zu, %zu) out of range",
-             cu_i, core_i, mem_i);
-    return (cu_i * numCoreClk() + core_i) * numMemClk() + mem_i;
-}
-
-gpu::GpuConfig
-ConfigSpace::at(size_t cu_i, size_t core_i, size_t mem_i) const
-{
-    panic_if(cu_i >= numCu() || core_i >= numCoreClk() ||
-                 mem_i >= numMemClk(),
-             "config index (%zu, %zu, %zu) out of range",
-             cu_i, core_i, mem_i);
-    gpu::GpuConfig cfg = axes_->base;
-    cfg.num_cus = axes_->cu_values[cu_i];
-    cfg.core_clk_mhz = axes_->core_clks[core_i];
-    cfg.mem_clk_mhz = axes_->mem_clks[mem_i];
-    return cfg;
-}
-
 gpu::GpuConfig
 ConfigSpace::at(size_t flat) const
 {
@@ -113,17 +67,6 @@ ConfigSpace::unflatten(size_t flat) const
     idx.core = flat % numCoreClk();
     idx.cu = flat / numCoreClk();
     return idx;
-}
-
-gpu::ConfigGrid
-ConfigSpace::grid() const
-{
-    gpu::ConfigGrid grid;
-    grid.cu_values = axes_->cu_values;
-    grid.core_clks_mhz = axes_->core_clks;
-    grid.mem_clks_mhz = axes_->mem_clks;
-    grid.base = axes_->base;
-    return grid;
 }
 
 gpu::GpuConfig

@@ -6,9 +6,12 @@
  * 9 memory clocks = 891 configurations, spanning an 11x CU range, a
  * 5x core-frequency range, and an 8.33x memory-bandwidth range.
  *
- * A space is immutable once built, so its copies share one set of
- * axes: copying a ConfigSpace (every ScalingSurface holds one, and a
- * sparse census builds 17 surfaces per kernel) is one reference-count
+ * A ConfigSpace is a view of one immutable, validated
+ * gpu::ConfigGrid (scaling sits above gpu in the layer order): the
+ * axes, the flatten order and the axis checks are the grid's own, and
+ * grid() hands the model layer that same object.  Copies share it, so
+ * copying a ConfigSpace (every ScalingSurface holds one, and a sparse
+ * census builds 17 surfaces per kernel) is one reference-count
  * increment, not three vector allocations.
  */
 
@@ -50,23 +53,32 @@ class ConfigSpace
     /** A coarse 3x3x3 grid for fast tests. */
     static ConfigSpace testGrid();
 
-    size_t numCu() const { return axes_->cu_values.size(); }
-    size_t numCoreClk() const { return axes_->core_clks.size(); }
-    size_t numMemClk() const { return axes_->mem_clks.size(); }
-    size_t size() const
+    size_t numCu() const { return grid_->numCu(); }
+    size_t numCoreClk() const { return grid_->numCoreClk(); }
+    size_t numMemClk() const { return grid_->numMemClk(); }
+    size_t size() const { return grid_->size(); }
+
+    const std::vector<int> &cuValues() const { return grid_->cu_values; }
+    const std::vector<double> &coreClks() const
     {
-        return numCu() * numCoreClk() * numMemClk();
+        return grid_->core_clks_mhz;
+    }
+    const std::vector<double> &memClks() const
+    {
+        return grid_->mem_clks_mhz;
     }
 
-    const std::vector<int> &cuValues() const { return axes_->cu_values; }
-    const std::vector<double> &coreClks() const { return axes_->core_clks; }
-    const std::vector<double> &memClks() const { return axes_->mem_clks; }
-
     /** Flatten (cu, core, mem) axis indices to a linear index. */
-    size_t flatten(size_t cu_i, size_t core_i, size_t mem_i) const;
+    size_t flatten(size_t cu_i, size_t core_i, size_t mem_i) const
+    {
+        return grid_->flatten(cu_i, core_i, mem_i);
+    }
 
     /** The configuration at the given axis indices. */
-    gpu::GpuConfig at(size_t cu_i, size_t core_i, size_t mem_i) const;
+    gpu::GpuConfig at(size_t cu_i, size_t core_i, size_t mem_i) const
+    {
+        return grid_->at(cu_i, core_i, mem_i);
+    }
 
     /** The configuration at a linear index. */
     gpu::GpuConfig at(size_t flat) const;
@@ -76,11 +88,11 @@ class ConfigSpace
     AxisIndex unflatten(size_t flat) const;
 
     /**
-     * This space as the model layer's batched-evaluation grid.  The
-     * flatten order is identical, so evaluateGrid() results line up
+     * The model layer's grid this space views, shared by every copy:
+     * PerfModel::evaluateGridRuntimes() results line up
      * index-for-index with at(flat).
      */
-    gpu::ConfigGrid grid() const;
+    const gpu::ConfigGrid &grid() const { return *grid_; }
 
     /** The largest configuration (max of every axis). */
     gpu::GpuConfig maxConfig() const;
@@ -89,15 +101,7 @@ class ConfigSpace
     gpu::GpuConfig minConfig() const;
 
   private:
-    /** The axes and base configuration, shared by every copy. */
-    struct Axes {
-        std::vector<int> cu_values;
-        std::vector<double> core_clks;
-        std::vector<double> mem_clks;
-        gpu::GpuConfig base;
-    };
-
-    std::shared_ptr<const Axes> axes_;
+    std::shared_ptr<const gpu::ConfigGrid> grid_;
 };
 
 } // namespace scaling

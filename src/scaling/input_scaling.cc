@@ -14,24 +14,6 @@
 namespace gpuscale {
 namespace scaling {
 
-namespace {
-
-/**
- * Local sweep: scaling/ sits below harness/ in the layering, so the
- * trivial grid loop is inlined here rather than depending upward.
- */
-ScalingSurface
-sweepLocal(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
-           const ConfigSpace &space)
-{
-    std::vector<double> runtimes(space.size());
-    for (size_t i = 0; i < space.size(); ++i)
-        runtimes[i] = model.estimate(kernel, space.at(i)).time_s;
-    return ScalingSurface(kernel.name, space, std::move(runtimes));
-}
-
-} // namespace
-
 InputScalingResult
 studyInputScaling(const gpu::PerfModel &model,
                   const gpu::KernelDesc &kernel,
@@ -60,9 +42,9 @@ studyInputScaling(const gpu::PerfModel &model,
             1, static_cast<int64_t>(
                    std::llround(kernel.num_workgroups * mult)));
 
-        const auto surface =
-            sweepLocal(model, scaled, space);
-        const auto cls = classifySurface(surface);
+        const auto cls = classifySurface(ScalingSurface(
+            scaled.name, space,
+            model.evaluateGridRuntimes(scaled, space.grid())));
 
         InputScalePoint point;
         point.input_scale = mult;

@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -226,14 +225,6 @@ readSurfacesCsv(std::string_view text, gpu::GpuConfig base)
             return std::nullopt;
         return v;
     };
-    auto csvInt = [&](const std::string &field) -> std::optional<int> {
-        const auto v = csvNumber(field);
-        if (!v || *v < std::numeric_limits<int>::min() ||
-            *v > std::numeric_limits<int>::max() ||
-            *v != static_cast<int>(*v))
-            return std::nullopt;
-        return static_cast<int>(*v);
-    };
 
     // Single validation pass: a row with any malformed number (or an
     // injected ingest fault) is skipped with a line-numbered warning
@@ -244,7 +235,7 @@ readSurfacesCsv(std::string_view text, gpu::GpuConfig base)
         const auto &row = doc.rows[r];
         const size_t line = r < doc.row_lines.size()
                                 ? doc.row_lines[r] : r + 2;
-        const auto cus = csvInt(row[col_cus]);
+        const auto cus = parseInteger<int>(row[col_cus]);
         const auto core = csvNumber(row[col_core]);
         const auto mem = csvNumber(row[col_mem]);
         const auto rt = csvNumber(row[col_rt]);

@@ -10,6 +10,18 @@
 namespace gpuscale {
 namespace service {
 
+namespace {
+
+/**
+ * Largest request id a frame may carry: 2^53, the largest integer a
+ * JSON number (an IEEE double) holds exactly.  A larger id could not
+ * be echoed back unchanged, and converting it to the uint64_t id is
+ * undefined once it passes 2^64.
+ */
+constexpr double kMaxRequestId = 9007199254740992.0;
+
+} // namespace
+
 const char *
 errorCodeName(ErrorCode code)
 {
@@ -48,8 +60,9 @@ parseRequest(const std::string &line, Request *request,
 
     Request req;
     if (const auto *id = doc.find("id"); id != nullptr) {
-        if (!id->isNumber() || id->number < 0) {
-            *error = "\"id\" must be a non-negative number";
+        if (!id->isNumber() || id->number < 0 ||
+            id->number > kMaxRequestId) {
+            *error = "\"id\" must be a number in [0, 2^53]";
             return false;
         }
         req.id = static_cast<uint64_t>(id->number);
@@ -68,8 +81,10 @@ parseRequest(const std::string &line, Request *request,
         req.client = client->str;
     }
     if (const auto *dl = doc.find("deadline_ms"); dl != nullptr) {
-        if (!dl->isNumber() || dl->number < 0) {
-            *error = "\"deadline_ms\" must be a non-negative number";
+        if (!dl->isNumber() || dl->number < 0 ||
+            dl->number > kMaxDeadlineMs) {
+            *error = "\"deadline_ms\" must be a number of "
+                     "milliseconds in [0, one day]";
             return false;
         }
         req.deadline_ms = dl->number;

@@ -43,6 +43,14 @@ enum class ErrorCode {
 /** Wire name of a code, e.g. "RETRY_AFTER". */
 const char *errorCodeName(ErrorCode code);
 
+/**
+ * Longest deadline, in milliseconds, a request frame or the daemon's
+ * --deadline-ms / --drain-ms may ask for: one day.  The cap keeps the
+ * millisecond-to-clock-tick conversions inside their integer range;
+ * a longer deadline is a malformed value, not a wish to wait forever.
+ */
+constexpr double kMaxDeadlineMs = 24.0 * 60.0 * 60.0 * 1000.0;
+
 /** One parsed request frame. */
 struct Request {
     uint64_t id = 0;
@@ -58,8 +66,8 @@ struct Request {
 /**
  * Parse one request line.  Returns false (filling *error with a
  * human-readable reason) on malformed JSON, a non-object frame, a
- * missing/empty "op", or a negative "deadline_ms"; the caller answers
- * with BAD_REQUEST.
+ * missing/empty "op", an "id" outside [0, 2^53], or a "deadline_ms"
+ * outside [0, kMaxDeadlineMs]; the caller answers with BAD_REQUEST.
  */
 bool parseRequest(const std::string &line, Request *request,
                   std::string *error);

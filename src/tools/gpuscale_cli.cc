@@ -481,8 +481,9 @@ main(int argc, char **argv)
         } else if (arg.rfind("--metrics-interval=", 0) == 0) {
             // from_chars, not atoi: a mistyped interval must be a
             // usage error, not a silently disabled exporter.
-            const auto parsed = parseDouble(arg.substr(19));
-            if (!parsed || *parsed <= 0) {
+            const auto ms = parseInteger<unsigned>(arg.substr(19),
+                                                   /*truncate=*/true);
+            if (!ms || *ms == 0) {
                 std::fprintf(stderr,
                              "--metrics-interval: '%s' is not a "
                              "positive millisecond count\n",
@@ -490,8 +491,7 @@ main(int argc, char **argv)
                 usage();
                 return kExitBadArguments;
             }
-            opts.metrics_interval_ms =
-                static_cast<unsigned>(*parsed);
+            opts.metrics_interval_ms = *ms;
         } else if (arg.rfind("--metrics-jsonl=", 0) == 0) {
             opts.metrics_jsonl = arg.substr(16);
         } else if (arg.rfind("--exposition=", 0) == 0) {
@@ -507,10 +507,8 @@ main(int argc, char **argv)
         } else if (arg.rfind("--sparse=", 0) == 0) {
             // from_chars, not atoi: "8x9" must be a usage error, not
             // a silent 8-sample census.
-            const auto parsed = parseDouble(arg.substr(9));
-            if (!parsed || *parsed <= 0 ||
-                *parsed != static_cast<size_t>(*parsed))
-            {
+            const auto samples = parseInteger<size_t>(arg.substr(9));
+            if (!samples || *samples == 0) {
                 std::fprintf(stderr,
                              "--sparse: '%s' is not a positive "
                              "sample count\n",
@@ -518,7 +516,7 @@ main(int argc, char **argv)
                 usage();
                 return kExitBadArguments;
             }
-            opts.sparse_samples = static_cast<size_t>(*parsed);
+            opts.sparse_samples = *samples;
         } else if (arg.rfind("--sampler=", 0) == 0) {
             if (!scaling::parseSamplerKind(arg.substr(10),
                                            &opts.sampler))
@@ -532,10 +530,8 @@ main(int argc, char **argv)
             }
             opts.sampler_given = true;
         } else if (arg.rfind("--sparse-seed=", 0) == 0) {
-            const auto parsed = parseDouble(arg.substr(14));
-            if (!parsed || *parsed < 0 ||
-                *parsed != static_cast<uint64_t>(*parsed))
-            {
+            const auto seed = parseInteger<uint64_t>(arg.substr(14));
+            if (!seed) {
                 std::fprintf(stderr,
                              "--sparse-seed: '%s' is not a "
                              "non-negative integer\n",
@@ -543,7 +539,7 @@ main(int argc, char **argv)
                 usage();
                 return kExitBadArguments;
             }
-            opts.sparse_seed = static_cast<uint64_t>(*parsed);
+            opts.sparse_seed = *seed;
         } else if (arg.rfind("--", 0) == 0) {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
             usage();
@@ -562,10 +558,9 @@ main(int argc, char **argv)
         // The environment can turn the exporter on for runs whose
         // command line a wrapper controls.
         if (const char *env = std::getenv("GPUSCALE_METRICS_INTERVAL")) {
-            const auto parsed = parseDouble(env);
-            if (parsed && *parsed > 0)
-                opts.metrics_interval_ms =
-                    static_cast<unsigned>(*parsed);
+            const auto ms = parseInteger<unsigned>(env, /*truncate=*/true);
+            if (ms && *ms > 0)
+                opts.metrics_interval_ms = *ms;
             else
                 warn("ignoring GPUSCALE_METRICS_INTERVAL='%s'", env);
         }

@@ -249,13 +249,8 @@ main(int argc, char **argv)
             const std::string prefix = std::string(name) + "=";
             if (arg.rfind(prefix, 0) != 0)
                 return false;
-            const auto parsed = parseDouble(arg.substr(prefix.size()));
-            if (!parsed || *parsed < 1 ||
-                *parsed != static_cast<size_t>(*parsed)) {
-                *out = 0; // flagged below
-            } else {
-                *out = static_cast<size_t>(*parsed);
-            }
+            *out = parseInteger<size_t>(arg.substr(prefix.size()))
+                       .value_or(0); // 0 is flagged below
             return true;
         };
         const auto msFlag = [&](const char *name, double *out) {
@@ -263,7 +258,10 @@ main(int argc, char **argv)
             if (arg.rfind(prefix, 0) != 0)
                 return false;
             const auto parsed = parseDouble(arg.substr(prefix.size()));
-            *out = (parsed && *parsed > 0) ? *parsed : -1.0;
+            *out = (parsed && *parsed > 0 &&
+                    *parsed <= service::kMaxDeadlineMs)
+                       ? *parsed
+                       : -1.0; // flagged below
             return true;
         };
 
@@ -299,7 +297,8 @@ main(int argc, char **argv)
                           &opts.service.default_deadline_ms)) {
             if (opts.service.default_deadline_ms < 0) {
                 std::fprintf(stderr, "--deadline-ms: '%s' is not a "
-                                     "positive millisecond count\n",
+                                     "positive millisecond count up "
+                                     "to one day\n",
                              arg.c_str());
                 usage();
                 return kExitBadArguments;
@@ -309,7 +308,8 @@ main(int argc, char **argv)
                           &opts.service.drain_deadline_ms)) {
             if (opts.service.drain_deadline_ms < 0) {
                 std::fprintf(stderr, "--drain-ms: '%s' is not a "
-                                     "positive millisecond count\n",
+                                     "positive millisecond count up "
+                                     "to one day\n",
                              arg.c_str());
                 usage();
                 return kExitBadArguments;
@@ -321,8 +321,9 @@ main(int argc, char **argv)
         } else if (arg.rfind("--metrics=", 0) == 0) {
             opts.metrics_file = arg.substr(10);
         } else if (arg.rfind("--metrics-interval=", 0) == 0) {
-            const auto parsed = parseDouble(arg.substr(19));
-            if (!parsed || *parsed <= 0) {
+            const auto ms = parseInteger<unsigned>(arg.substr(19),
+                                                   /*truncate=*/true);
+            if (!ms || *ms == 0) {
                 std::fprintf(stderr,
                              "--metrics-interval: '%s' is not a "
                              "positive millisecond count\n",
@@ -330,7 +331,7 @@ main(int argc, char **argv)
                 usage();
                 return kExitBadArguments;
             }
-            metrics_interval_ms = static_cast<unsigned>(*parsed);
+            metrics_interval_ms = *ms;
         } else if (arg.rfind("--metrics-jsonl=", 0) == 0) {
             opts.metrics_jsonl = arg.substr(16);
         } else if (arg.rfind("--exposition=", 0) == 0) {
@@ -354,9 +355,9 @@ main(int argc, char **argv)
     if (metrics_interval_ms == 0) {
         if (const char *env =
                 std::getenv("GPUSCALE_METRICS_INTERVAL")) {
-            const auto parsed = parseDouble(env);
-            if (parsed && *parsed > 0)
-                metrics_interval_ms = static_cast<unsigned>(*parsed);
+            const auto ms = parseInteger<unsigned>(env, /*truncate=*/true);
+            if (ms && *ms > 0)
+                metrics_interval_ms = *ms;
             else
                 warn("ignoring GPUSCALE_METRICS_INTERVAL='%s'", env);
         }

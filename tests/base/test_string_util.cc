@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
+
 namespace gpuscale {
 namespace {
 
@@ -70,6 +74,81 @@ TEST(StartsWithTest, Basic)
 TEST(ToLowerTest, Ascii)
 {
     EXPECT_EQ(toLower("MiXeD 123"), "mixed 123");
+}
+
+TEST(ParseIntegerTest, ThirtyTwoBitMaxParsesAndMaxPlusOneDoesNot)
+{
+    EXPECT_EQ(parseInteger<unsigned>("4294967295"),
+              std::optional<unsigned>(4294967295u));
+    EXPECT_EQ(parseInteger<unsigned>("4294967296"), std::nullopt);
+    EXPECT_EQ(parseInteger<int>("2147483647"),
+              std::optional<int>(2147483647));
+    EXPECT_EQ(parseInteger<int>("2147483648"), std::nullopt);
+    EXPECT_EQ(parseInteger<int>("-2147483648"),
+              std::optional<int>(std::numeric_limits<int>::min()));
+    EXPECT_EQ(parseInteger<int>("-2147483649"), std::nullopt);
+}
+
+/**
+ * A 64-bit max() is not a double: the text rounds to 2^64 (max + 1)
+ * and is rejected, while the largest double below 2^64 parses
+ * exactly.
+ */
+template <typename T>
+void
+expectSixtyFourBitBounds()
+{
+    static_assert(sizeof(T) == 8, "64-bit types only");
+    EXPECT_EQ(parseInteger<T>("18446744073709549568"),
+              std::optional<T>(18446744073709549568ull));
+    EXPECT_EQ(parseInteger<T>("18446744073709551615"), std::nullopt);
+    EXPECT_EQ(parseInteger<T>("18446744073709551616"), std::nullopt);
+}
+
+TEST(ParseIntegerTest, SixtyFourBitBoundsRoundThroughDouble)
+{
+    expectSixtyFourBitBounds<uint64_t>();
+    expectSixtyFourBitBounds<size_t>();
+}
+
+/** Inputs no target type may accept, whatever its width. */
+template <typename T>
+void
+expectRejectsJunk()
+{
+    EXPECT_EQ(parseInteger<T>("1e300"), std::nullopt);
+    EXPECT_EQ(parseInteger<T>("-1e300"), std::nullopt);
+    EXPECT_EQ(parseInteger<T>("1.5"), std::nullopt);
+    EXPECT_EQ(parseInteger<T>("inf"), std::nullopt);
+    EXPECT_EQ(parseInteger<T>("nan"), std::nullopt);
+    EXPECT_EQ(parseInteger<T>("8x9"), std::nullopt);
+    EXPECT_EQ(parseInteger<T>(""), std::nullopt);
+    // parseDouble syntax, as every site accepted before.
+    EXPECT_EQ(parseInteger<T>(" 1e3 "), std::optional<T>(1000));
+}
+
+TEST(ParseIntegerTest, RejectsOutOfRangeFractionsAndNonNumbers)
+{
+    expectRejectsJunk<unsigned>();
+    expectRejectsJunk<int>();
+    expectRejectsJunk<uint64_t>();
+    expectRejectsJunk<size_t>();
+    EXPECT_EQ(parseInteger<unsigned>("-1"), std::nullopt);
+    EXPECT_EQ(parseInteger<uint64_t>("-1"), std::nullopt);
+    EXPECT_EQ(parseInteger<size_t>("-1"), std::nullopt);
+    EXPECT_EQ(parseInteger<int>("-1"), std::optional<int>(-1));
+}
+
+TEST(ParseIntegerTest, TruncateCutsFractionsButNotTheRange)
+{
+    EXPECT_EQ(parseInteger<unsigned>("1.5", /*truncate=*/true),
+              std::optional<unsigned>(1u));
+    EXPECT_EQ(parseInteger<unsigned>("4294967295.5", true),
+              std::optional<unsigned>(4294967295u));
+    EXPECT_EQ(parseInteger<unsigned>("4294967296", true), std::nullopt);
+    EXPECT_EQ(parseInteger<unsigned>("1e20", true), std::nullopt);
+    EXPECT_EQ(parseInteger<unsigned>("-1", true), std::nullopt);
+    EXPECT_EQ(parseInteger<unsigned>("nan", true), std::nullopt);
 }
 
 } // namespace

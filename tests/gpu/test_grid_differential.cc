@@ -2,13 +2,14 @@
  * @file
  * Differential proof for the batched census engine.
  *
- * The batched AnalyticModel::evaluateGrid() hoists grid-invariant
- * work out of the per-configuration loop; the scalar estimate() path
- * is the oracle.  These tests drive both over every zoo kernel and
- * every paper-grid configuration (267 x 891 points) and require
- * bitwise-identical runtimes — not approximately equal, identical —
- * plus identical taxonomy classes end-to-end.  Any hoisting mistake
- * that reorders floating-point arithmetic fails here.
+ * The batched AnalyticModel::evaluateGridRuntimes() hoists
+ * grid-invariant work out of the per-configuration loop; the scalar
+ * estimate() path is the oracle.  These tests drive both over every
+ * zoo kernel and every paper-grid configuration (267 x 891 points)
+ * and require bitwise-identical runtimes — not approximately equal,
+ * identical — plus identical taxonomy classes end-to-end.  Any
+ * hoisting mistake that reorders floating-point arithmetic fails
+ * here.
  */
 
 #include <gtest/gtest.h>
@@ -26,8 +27,9 @@ namespace gpuscale {
 namespace {
 
 /**
- * A model that inherits the scalar-walk evaluateGrid() default, so
- * the PerfModel base implementation itself is under test too.
+ * A model that inherits the scalar-walk evaluateGridRuntimes()
+ * default, so the PerfModel base implementation itself is under test
+ * too.
  */
 class ScalarOnlyModel : public gpu::PerfModel
 {
@@ -47,9 +49,12 @@ class ScalarOnlyModel : public gpu::PerfModel
 
 TEST(GridDifferentialTest, BatchedMatchesScalarBitwiseAllKernels)
 {
+    // evaluateGridRuntimes() is what the sweep harness calls: its flat
+    // vector must equal the scalar oracle's time_s bit for bit at
+    // every zoo kernel and every paper-grid point.
     const gpu::AnalyticModel model;
     const auto space = scaling::ConfigSpace::paperGrid();
-    const gpu::ConfigGrid grid = space.grid();
+    const gpu::ConfigGrid &grid = space.grid();
     const auto kernels =
         workloads::WorkloadRegistry::instance().allKernels();
     ASSERT_EQ(kernels.size(), 267u);
@@ -57,64 +62,20 @@ TEST(GridDifferentialTest, BatchedMatchesScalarBitwiseAllKernels)
 
     size_t points_checked = 0;
     for (const auto *kernel : kernels) {
-        const auto batched = model.evaluateGrid(*kernel, grid);
+        const auto batched = model.evaluateGridRuntimes(*kernel, grid);
         ASSERT_EQ(batched.size(), grid.size()) << kernel->name;
         for (size_t i = 0; i < grid.size(); ++i) {
             const auto idx = space.unflatten(i);
-            const gpu::KernelPerf scalar =
-                model.estimate(*kernel, space.at(i));
             // EXPECT_EQ on doubles is exact bit-for-bit comparison
             // (modulo -0.0 == 0.0, which never arises for runtimes).
-            ASSERT_EQ(batched[i].time_s, scalar.time_s)
+            ASSERT_EQ(batched[i],
+                      model.estimate(*kernel, space.at(i)).time_s)
                 << kernel->name << " at flat=" << i << " cu="
                 << idx.cu << " core=" << idx.core << " mem=" << idx.mem;
-            ASSERT_EQ(batched[i].kernel_time_s, scalar.kernel_time_s)
-                << kernel->name << " at flat=" << i;
-            ASSERT_EQ(batched[i].bound, scalar.bound)
-                << kernel->name << " at flat=" << i;
             ++points_checked;
         }
     }
     EXPECT_EQ(points_checked, 267u * 891u);
-}
-
-TEST(GridDifferentialTest, PerPointFieldsMatchOnSpotKernels)
-{
-    // The runtime check above covers every point; the full KernelPerf
-    // surface (per-resource terms, occupancy, rates) is spot-checked
-    // on a few structurally distinct kernels to keep runtime sane.
-    const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::paperGrid();
-    const gpu::ConfigGrid grid = space.grid();
-    const auto &registry = workloads::WorkloadRegistry::instance();
-
-    for (const char *name :
-         {"rodinia/hotspot/calculate_temp", "shoc/reduction/reduce_stage",
-          "parboil/sgemm/sgemm_nt"}) {
-        const auto *kernel = registry.findKernel(name);
-        ASSERT_NE(kernel, nullptr) << name;
-        const auto batched = model.evaluateGrid(*kernel, grid);
-        for (size_t i = 0; i < grid.size(); ++i) {
-            const gpu::KernelPerf s = model.estimate(*kernel,
-                                                     space.at(i));
-            const gpu::KernelPerf &b = batched[i];
-            ASSERT_EQ(b.t_compute, s.t_compute) << name << " " << i;
-            ASSERT_EQ(b.t_lds, s.t_lds) << name << " " << i;
-            ASSERT_EQ(b.t_l1, s.t_l1) << name << " " << i;
-            ASSERT_EQ(b.t_l2, s.t_l2) << name << " " << i;
-            ASSERT_EQ(b.t_dram, s.t_dram) << name << " " << i;
-            ASSERT_EQ(b.t_atomic, s.t_atomic) << name << " " << i;
-            ASSERT_EQ(b.t_latency, s.t_latency) << name << " " << i;
-            ASSERT_EQ(b.t_launch, s.t_launch) << name << " " << i;
-            ASSERT_EQ(b.t_serial, s.t_serial) << name << " " << i;
-            ASSERT_EQ(b.achieved_gflops, s.achieved_gflops)
-                << name << " " << i;
-            ASSERT_EQ(b.imbalance_factor, s.imbalance_factor)
-                << name << " " << i;
-            ASSERT_EQ(b.occupancy.active_waves, s.occupancy.active_waves)
-                << name << " " << i;
-        }
-    }
 }
 
 TEST(GridDifferentialTest, TaxonomyClassesIdenticalEndToEnd)
@@ -123,7 +84,6 @@ TEST(GridDifferentialTest, TaxonomyClassesIdenticalEndToEnd)
     // surfaces; the taxonomy must agree kernel-for-kernel.
     const gpu::AnalyticModel model;
     const auto space = scaling::ConfigSpace::paperGrid();
-    const gpu::ConfigGrid grid = space.grid();
     const auto kernels =
         workloads::WorkloadRegistry::instance().allKernels();
 
@@ -131,25 +91,23 @@ TEST(GridDifferentialTest, TaxonomyClassesIdenticalEndToEnd)
         std::vector<double> scalar_rt(space.size());
         for (size_t i = 0; i < space.size(); ++i)
             scalar_rt[i] = model.estimate(*kernel, space.at(i)).time_s;
-        const auto batched = model.evaluateGrid(*kernel, grid);
-        std::vector<double> batched_rt(batched.size());
-        for (size_t i = 0; i < batched.size(); ++i)
-            batched_rt[i] = batched[i].time_s;
 
         const auto cls_scalar = scaling::classifySurface(
             scaling::ScalingSurface(kernel->name, space, scalar_rt));
-        const auto cls_batched = scaling::classifySurface(
-            scaling::ScalingSurface(kernel->name, space, batched_rt));
+        const auto cls_batched =
+            scaling::classifySurface(scaling::ScalingSurface(
+                kernel->name, space,
+                model.evaluateGridRuntimes(*kernel, space.grid())));
         EXPECT_EQ(cls_scalar.cls, cls_batched.cls) << kernel->name;
     }
 }
 
-TEST(GridDifferentialTest, DefaultEvaluateGridIsTheScalarOracle)
+TEST(GridDifferentialTest, DefaultEvaluateGridRuntimesIsTheScalarOracle)
 {
     const ScalarOnlyModel scalar_only;
     const gpu::AnalyticModel analytic;
     const auto space = scaling::ConfigSpace::testGrid();
-    const gpu::ConfigGrid grid = space.grid();
+    const gpu::ConfigGrid &grid = space.grid();
     const auto *kernel =
         workloads::WorkloadRegistry::instance().findKernel(
             "rodinia/hotspot/calculate_temp");
@@ -157,13 +115,13 @@ TEST(GridDifferentialTest, DefaultEvaluateGridIsTheScalarOracle)
 
     // The base-class default must itself match per-point estimates in
     // flatten order, and agree with the batched override bitwise.
-    const auto defaults = scalar_only.evaluateGrid(*kernel, grid);
-    const auto batched = analytic.evaluateGrid(*kernel, grid);
+    const auto defaults = scalar_only.evaluateGridRuntimes(*kernel, grid);
+    const auto batched = analytic.evaluateGridRuntimes(*kernel, grid);
     ASSERT_EQ(defaults.size(), grid.size());
     for (size_t i = 0; i < grid.size(); ++i) {
-        EXPECT_EQ(defaults[i].time_s,
+        EXPECT_EQ(defaults[i],
                   scalar_only.estimate(*kernel, space.at(i)).time_s);
-        EXPECT_EQ(defaults[i].time_s, batched[i].time_s);
+        EXPECT_EQ(defaults[i], batched[i]);
     }
 }
 
@@ -174,39 +132,17 @@ TEST(GridDifferentialTest, NoisyBatchedMatchesNoisyScalar)
     const gpu::AnalyticModel inner;
     const harness::NoisyModel noisy(inner, 0.05, 42);
     const auto space = scaling::ConfigSpace::testGrid();
-    const gpu::ConfigGrid grid = space.grid();
+    const gpu::ConfigGrid &grid = space.grid();
     const auto *kernel =
         workloads::WorkloadRegistry::instance().findKernel(
             "shoc/reduction/reduce_stage");
     ASSERT_NE(kernel, nullptr);
 
-    const auto batched = noisy.evaluateGrid(*kernel, grid);
+    const auto batched = noisy.evaluateGridRuntimes(*kernel, grid);
     ASSERT_EQ(batched.size(), grid.size());
     for (size_t i = 0; i < grid.size(); ++i) {
-        EXPECT_EQ(batched[i].time_s,
+        EXPECT_EQ(batched[i],
                   noisy.estimate(*kernel, space.at(i)).time_s);
-    }
-}
-
-TEST(GridDifferentialTest, RuntimesHotPathMatchesEvaluateGridAllKernels)
-{
-    // evaluateGridRuntimes() is what the sweep harness actually calls:
-    // the flat vector must be bitwise identical to evaluateGrid()'s
-    // time_s for every zoo kernel and every paper-grid point.
-    const gpu::AnalyticModel model;
-    const gpu::ConfigGrid grid =
-        scaling::ConfigSpace::paperGrid().grid();
-    const auto kernels =
-        workloads::WorkloadRegistry::instance().allKernels();
-
-    for (const auto *kernel : kernels) {
-        const auto full = model.evaluateGrid(*kernel, grid);
-        const auto runtimes = model.evaluateGridRuntimes(*kernel, grid);
-        ASSERT_EQ(runtimes.size(), grid.size()) << kernel->name;
-        for (size_t i = 0; i < grid.size(); ++i) {
-            ASSERT_EQ(runtimes[i], full[i].time_s)
-                << kernel->name << " at flat=" << i;
-        }
     }
 }
 
@@ -223,28 +159,22 @@ customGrid(std::vector<int> cus, std::vector<double> cores,
 }
 
 /**
- * Drive the scalar oracle, evaluateGrid(), and evaluateGridRuntimes()
- * over one grid and require bitwise agreement at every point.
+ * Drive the scalar oracle and evaluateGridRuntimes() over one grid
+ * and require bitwise agreement at every point.
  */
 void
 expectBitwiseMatch(const gpu::PerfModel &model,
                    const gpu::KernelDesc &kernel,
                    const gpu::ConfigGrid &grid)
 {
-    const auto batched = model.evaluateGrid(kernel, grid);
     const auto runtimes = model.evaluateGridRuntimes(kernel, grid);
-    ASSERT_EQ(batched.size(), grid.size()) << kernel.name;
     ASSERT_EQ(runtimes.size(), grid.size()) << kernel.name;
     for (size_t cu = 0; cu < grid.numCu(); ++cu) {
         for (size_t core = 0; core < grid.numCoreClk(); ++core) {
             for (size_t mem = 0; mem < grid.numMemClk(); ++mem) {
-                const size_t i = grid.flatten(cu, core, mem);
-                const gpu::KernelPerf scalar =
-                    model.estimate(kernel, grid.at(cu, core, mem));
-                ASSERT_EQ(batched[i].time_s, scalar.time_s)
-                    << kernel.name << " cu=" << cu << " core=" << core
-                    << " mem=" << mem;
-                ASSERT_EQ(runtimes[i], scalar.time_s)
+                ASSERT_EQ(runtimes[grid.flatten(cu, core, mem)],
+                          model.estimate(kernel, grid.at(cu, core, mem))
+                              .time_s)
                     << kernel.name << " cu=" << cu << " core=" << core
                     << " mem=" << mem;
             }
@@ -320,7 +250,7 @@ TEST(GridDifferentialTest, NoisyRuntimesMatchNoisyScalarOnIrregularGrid)
 TEST(GridDifferentialTest, GridFlattenMatchesConfigSpace)
 {
     const auto space = scaling::ConfigSpace::paperGrid();
-    const gpu::ConfigGrid grid = space.grid();
+    const gpu::ConfigGrid &grid = space.grid();
     ASSERT_EQ(grid.size(), space.size());
     for (size_t cu = 0; cu < grid.numCu(); ++cu) {
         for (size_t core = 0; core < grid.numCoreClk(); ++core) {

@@ -295,6 +295,14 @@ TEST(ServiceHostileFrames, DeepNestingAndOverlongLinesGetBadRequest)
     std::string resp;
     ASSERT_TRUE(client.call(std::string(200 * 1000, '['), 10000.0, &resp));
     EXPECT_EQ(errorCode(resp), "BAD_REQUEST");
+    // Numbers past what the id and deadline casts can hold used to be
+    // converted anyway (undefined behaviour); now they are refused.
+    ASSERT_TRUE(client.call("{\"id\":1e300,\"op\":\"health\"}", 10000.0,
+                            &resp));
+    EXPECT_EQ(errorCode(resp), "BAD_REQUEST");
+    ASSERT_TRUE(client.call("{\"op\":\"health\",\"deadline_ms\":1e300}",
+                            10000.0, &resp));
+    EXPECT_EQ(errorCode(resp), "BAD_REQUEST");
     ASSERT_TRUE(client.call(health, 10000.0, &resp));
     EXPECT_TRUE(parseFrame(resp).at("ok").boolean);
 

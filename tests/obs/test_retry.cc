@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/metrics.hh"
@@ -154,6 +155,23 @@ TEST(Retry, ProcessPolicyIsOverridable)
     EXPECT_EQ(obs::retryPolicy().max_attempts, 1);
     obs::setRetryPolicy(saved);
     EXPECT_EQ(obs::retryPolicy().max_attempts, saved.max_attempts);
+}
+
+TEST(Retry, FromEnvParsesAttemptsAndKeepsDefaultsOnJunk)
+{
+    const obs::RetryPolicy defaults;
+    ASSERT_EQ(::setenv("GPUSCALE_RETRY", "5:2", 1), 0);
+    EXPECT_EQ(obs::RetryPolicy::fromEnv().max_attempts, 5);
+    EXPECT_EQ(obs::RetryPolicy::fromEnv().base_backoff_ms, 2.0);
+    // An attempt count past int's range warns and keeps the defaults
+    // rather than being cast.
+    for (const char *junk : {"1e300", "2147483648", "1.5", "0"}) {
+        ASSERT_EQ(::setenv("GPUSCALE_RETRY", junk, 1), 0);
+        EXPECT_EQ(obs::RetryPolicy::fromEnv().max_attempts,
+                  defaults.max_attempts)
+            << junk;
+    }
+    ASSERT_EQ(::unsetenv("GPUSCALE_RETRY"), 0);
 }
 
 } // namespace

@@ -76,6 +76,18 @@ TEST(ConfigSpaceTest, BaseTemplatePropagates)
     EXPECT_EQ(space.at(1, 0, 0).num_cus, 8);
 }
 
+TEST(ConfigSpaceTest, CopiesShareOneGrid)
+{
+    // A space is a view of one immutable gpu::ConfigGrid: a copy
+    // hands out the very same object, whose axes are the space's.
+    const ConfigSpace space = ConfigSpace::paperGrid();
+    const ConfigSpace copy = space;
+    EXPECT_EQ(&copy.grid(), &space.grid());
+    EXPECT_EQ(copy.grid().cu_values, space.cuValues());
+    EXPECT_EQ(copy.grid().core_clks_mhz, space.coreClks());
+    EXPECT_EQ(copy.grid().mem_clks_mhz, space.memClks());
+}
+
 TEST(ConfigSpaceTest, TestGridIsSmallCube)
 {
     const ConfigSpace space = ConfigSpace::testGrid();

@@ -59,6 +59,15 @@ TEST(Protocol, OptionalFieldsDefault)
     EXPECT_TRUE(req.params.isNull());
 }
 
+TEST(Protocol, NumberCapsAreInclusive)
+{
+    const Request req = mustParse(
+        "{\"id\":9007199254740992,\"op\":\"health\","
+        "\"deadline_ms\":86400000}");
+    EXPECT_EQ(req.id, 9007199254740992u);
+    EXPECT_DOUBLE_EQ(req.deadline_ms, kMaxDeadlineMs);
+}
+
 TEST(Protocol, RejectsMalformedFrames)
 {
     EXPECT_NE(rejectReason("not json at all").find("malformed"),
@@ -72,6 +81,19 @@ TEST(Protocol, RejectsMalformedFrames)
     EXPECT_NE(rejectReason("{\"op\":\"x\",\"id\":-1}").find("id"),
               std::string::npos);
     EXPECT_NE(rejectReason("{\"op\":\"x\",\"deadline_ms\":-5}")
+                  .find("deadline_ms"),
+              std::string::npos);
+    // Numbers no cast may take: an id past 2^53 (and past uint64_t)
+    // and a deadline past one day (and past the clock's ticks).
+    EXPECT_NE(rejectReason("{\"id\":1e300,\"op\":\"health\"}").find("id"),
+              std::string::npos);
+    EXPECT_NE(rejectReason("{\"id\":9007199254740994,\"op\":\"x\"}")
+                  .find("id"),
+              std::string::npos);
+    EXPECT_NE(rejectReason("{\"op\":\"health\",\"deadline_ms\":1e300}")
+                  .find("deadline_ms"),
+              std::string::npos);
+    EXPECT_NE(rejectReason("{\"op\":\"x\",\"deadline_ms\":86400001}")
                   .find("deadline_ms"),
               std::string::npos);
     EXPECT_NE(rejectReason("{\"op\":\"x\",\"params\":3}")
