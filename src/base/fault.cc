@@ -115,11 +115,12 @@ parseFaultPlan(const std::string &text, std::string *error)
                     "site %s: delay_ms only applies to kind 'delay'",
                     spec.site.c_str()));
             }
-            const std::optional<double> delay = parseDouble(fields[3]);
-            if (!delay || *delay < 0.0) {
+            const std::optional<double> delay =
+                parseMilliseconds(fields[3]);
+            if (!delay) {
                 return fail(strprintf(
-                    "fault delay '%s' for site %s is not a "
-                    "non-negative number of milliseconds",
+                    "fault delay '%s' for site %s is not a number of "
+                    "milliseconds in [0, one day]",
                     fields[3].c_str(), spec.site.c_str()));
             }
             spec.delay_ms = *delay;

@@ -78,7 +78,8 @@ using FaultObserver = void (*)(FaultKind kind, const char *site);
  * Parse a GPUSCALE_FAULTS plan string.
  *
  * Grammar: `site:rate[:kind[:delay_ms]]` entries separated by commas;
- * kind is `throw` (default), `io`, or `delay`.  Example:
+ * kind is `throw` (default), `io`, or `delay`, and delay_ms is at
+ * most kMaxDurationMs (one day, base/string_util.hh).  Example:
  *
  *     sweep_cache.disk.read:0.1:io,sweep.kernel:1:delay:20
  *

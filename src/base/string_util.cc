@@ -144,6 +144,15 @@ parseDouble(std::string_view s)
     return v;
 }
 
+std::optional<double>
+parseMilliseconds(std::string_view s)
+{
+    const std::optional<double> ms = parseDouble(s);
+    if (!ms || !(*ms >= 0.0 && *ms <= kMaxDurationMs))
+        return std::nullopt;
+    return ms;
+}
+
 bool
 startsWith(std::string_view s, std::string_view prefix)
 {

@@ -99,6 +99,20 @@ parseInteger(std::string_view s, bool truncate = false)
     return static_cast<T>(whole);
 }
 
+/**
+ * Longest span, in milliseconds, that a sleep, backoff or deadline
+ * read from input may ask for: one day.  Within it every
+ * millisecond-to-clock-tick conversion stays inside its integer
+ * range; a longer value is malformed, not a wish to wait forever.
+ */
+constexpr double kMaxDurationMs = 24.0 * 60.0 * 60.0 * 1000.0;
+
+/**
+ * parseDouble() for a span of milliseconds: nullopt unless the value
+ * lies in [0, kMaxDurationMs], so NaN and infinity fail too.
+ */
+std::optional<double> parseMilliseconds(std::string_view s);
+
 /** True if s starts with the given prefix. */
 bool startsWith(std::string_view s, std::string_view prefix);
 

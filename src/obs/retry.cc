@@ -94,14 +94,14 @@ RetryPolicy::fromEnv()
             policy.max_attempts = *attempts;
     }
     if (ok && fields.size() >= 2) {
-        const auto base = parseDouble(fields[1]);
-        ok = base && *base >= 0;
+        const auto base = parseMilliseconds(fields[1]);
+        ok = base.has_value();
         if (ok)
             policy.base_backoff_ms = *base;
     }
     if (ok && fields.size() == 3) {
-        const auto cap = parseDouble(fields[2]);
-        ok = cap && *cap >= 0;
+        const auto cap = parseMilliseconds(fields[2]);
+        ok = cap.has_value();
         if (ok)
             policy.max_backoff_ms = *cap;
     }

@@ -34,9 +34,10 @@ struct RetryPolicy {
 
     /**
      * The built-in defaults overridden by
-     * GPUSCALE_RETRY="attempts[:base_ms[:max_ms]]".  A malformed
-     * value warns and keeps the defaults — retry tuning is advisory,
-     * unlike GPUSCALE_FAULTS which must parse or exit.
+     * GPUSCALE_RETRY="attempts[:base_ms[:max_ms]]", each _ms value at
+     * most kMaxDurationMs (one day).  A malformed value warns and
+     * keeps the defaults — retry tuning is advisory, unlike
+     * GPUSCALE_FAULTS which must parse or exit.
      */
     static RetryPolicy fromEnv();
 };

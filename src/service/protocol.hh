@@ -25,6 +25,7 @@
 #include <functional>
 #include <string>
 
+#include "base/string_util.hh"
 #include "obs/json.hh"
 
 namespace gpuscale {
@@ -45,11 +46,10 @@ const char *errorCodeName(ErrorCode code);
 
 /**
  * Longest deadline, in milliseconds, a request frame or the daemon's
- * --deadline-ms / --drain-ms may ask for: one day.  The cap keeps the
- * millisecond-to-clock-tick conversions inside their integer range;
- * a longer deadline is a malformed value, not a wish to wait forever.
+ * --deadline-ms / --drain-ms may ask for: base's one-day cap on any
+ * millisecond span read from input.
  */
-constexpr double kMaxDeadlineMs = 24.0 * 60.0 * 60.0 * 1000.0;
+constexpr double kMaxDeadlineMs = kMaxDurationMs;
 
 /** One parsed request frame. */
 struct Request {

@@ -287,14 +287,20 @@ Service::loadCensus()
         return false;
     }
     syncJournal();
+    installCensus(std::move(fresh->classifications));
+    return true;
+}
 
+void
+Service::installCensus(
+    std::vector<scaling::KernelClassification> classifications)
+{
     std::lock_guard<std::mutex> lock(census_mutex_);
-    census_ = std::move(fresh->classifications);
+    census_ = std::move(classifications);
     census_loaded_ = true;
     class_index_.clear();
     for (size_t i = 0; i < census_.size(); ++i)
         class_index_[census_[i].kernel] = i;
-    return true;
 }
 
 void
@@ -818,12 +824,7 @@ Service::handleCensus(const Request &req,
                                    : ErrorCode::DeadlineExceeded,
                                "census refresh cancelled");
         }
-        std::lock_guard<std::mutex> lock(census_mutex_);
-        census_ = std::move(fresh->classifications);
-        census_loaded_ = true;
-        class_index_.clear();
-        for (size_t i = 0; i < census_.size(); ++i)
-            class_index_[census_[i].kernel] = i;
+        installCensus(std::move(fresh->classifications));
     }
 
     std::lock_guard<std::mutex> lock(census_mutex_);

@@ -141,6 +141,9 @@ class Service
     void reapConnections(bool join_all);
     void stopSignalWatcher();
     void syncJournal();
+    /** Publish a finished census to the classify/census handlers. */
+    void installCensus(
+        std::vector<scaling::KernelClassification> classifications);
 
     std::string handleHealth(const Request &req);
     std::string handleStats(const Request &req);

@@ -31,7 +31,9 @@
  *   --drain-ms=MS         drain-time I/O budget (default 2000)
  * plus the gpuscale telemetry options (--trace, --metrics,
  * --metrics-interval, --metrics-jsonl, --exposition,
- * --flight-recorder).
+ * --flight-recorder); --metrics-interval is also honoured from the
+ * GPUSCALE_METRICS_INTERVAL environment variable when the flag is
+ * absent.
  *
  * Call options:
  *   --socket=PATH         daemon socket (default gpuscaled.sock)
@@ -127,7 +129,9 @@ usage()
         "  --deadline-ms=MS     request deadline / client timeout\n"
         "  --client=NAME        client identity for quotas\n"
         "env: GPUSCALE_FAULTS, GPUSCALE_FAULT_SEED, GPUSCALE_RETRY "
-        "(see docs/fault_tolerance.md)\n"
+        "(see docs/fault_tolerance.md),\n"
+        "     GPUSCALE_METRICS_INTERVAL (ms, same as "
+        "--metrics-interval)\n"
         "exit codes: 0 ok, 1 failure, 2 unknown command, "
         "3 bad arguments,\n"
         "            4 ok but degraded (absorbed faults), "

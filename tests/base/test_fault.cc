@@ -71,6 +71,8 @@ TEST_F(FaultTest, RejectsMalformedPlans)
         "site:0.5:bogus",    // unknown kind
         "site:0.5:io:10",    // delay_ms on a non-delay kind
         "site:1:delay:-3",   // negative delay
+        "s:1:delay:1e300",   // delay past one day
+        "s:1:delay:inf",     // unbounded delay
         "site:1:delay:3:x",  // too many fields
     };
     for (const auto &text : bad) {

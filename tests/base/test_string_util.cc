@@ -76,6 +76,14 @@ TEST(ToLowerTest, Ascii)
     EXPECT_EQ(toLower("MiXeD 123"), "mixed 123");
 }
 
+TEST(ParseMillisecondsTest, AcceptsZeroThroughOneDayOnly)
+{
+    EXPECT_EQ(parseMilliseconds("0"), 0.0);
+    EXPECT_EQ(parseMilliseconds(" 86400000 "), kMaxDurationMs);
+    for (const char *bad : {"86400001", "-1", "1e300", "inf", "nan", "x"})
+        EXPECT_FALSE(parseMilliseconds(bad).has_value()) << bad;
+}
+
 TEST(ParseIntegerTest, ThirtyTwoBitMaxParsesAndMaxPlusOneDoesNot)
 {
     EXPECT_EQ(parseInteger<unsigned>("4294967295"),

@@ -166,6 +166,24 @@ TEST_F(SweepCacheTest, RepeatSweepHitsAndReturnsIdenticalRuntimes)
     ASSERT_EQ(first.runtimes().size(), second.runtimes().size());
     for (size_t i = 0; i < first.runtimes().size(); ++i)
         EXPECT_EQ(first.runtimes()[i], second.runtimes()[i]);
+
+    // The same for a whole census: a second paper-grid sweep of every
+    // kernel is served by the cache alone, one hit per kernel.
+    const auto kernels =
+        workloads::WorkloadRegistry::instance().allKernels();
+    ASSERT_EQ(kernels.size(), 267u);
+    const auto paper = scaling::ConfigSpace::paperGrid();
+    const auto cold = harness::sweepKernels(model, kernels, paper);
+    const uint64_t warm_hits0 = counterValue("sweep.cache.hits");
+    const uint64_t warm_misses0 = counterValue("sweep.cache.misses");
+    const uint64_t warm_estimates0 = counterValue("sweep.estimates.count");
+    const auto warm = harness::sweepKernels(model, kernels, paper);
+    EXPECT_EQ(counterValue("sweep.cache.hits"), warm_hits0 + 267);
+    EXPECT_EQ(counterValue("sweep.cache.misses"), warm_misses0);
+    EXPECT_EQ(counterValue("sweep.estimates.count"), warm_estimates0);
+    ASSERT_EQ(cold.size(), warm.size());
+    for (size_t k = 0; k < cold.size(); ++k)
+        EXPECT_EQ(cold[k].runtimes(), warm[k].runtimes()) << k;
 }
 
 TEST_F(SweepCacheTest,
@@ -264,7 +282,9 @@ TEST_F(SweepCacheTest, CorruptDiskEntryDegradesToMiss)
     ASSERT_NE(kernel, nullptr);
     const auto first = harness::sweepKernel(model, *kernel, space);
 
-    // Truncate every cache file, then force re-reads from disk.
+    // Truncate every file in the directory (the disk layer's journal)
+    // and force a reload: the store finds no header, rewrites it and
+    // replays nothing, so the sweep misses and recomputes.
     size_t truncated = 0;
     for (const auto &entry :
          std::filesystem::directory_iterator(dir.path())) {
@@ -283,13 +303,11 @@ TEST_F(SweepCacheTest, CorruptDiskEntryDegradesToMiss)
 
 TEST_F(SweepCacheTest, TwoProcessWritersNeverTearDiskEntries)
 {
-    // Regression test for the shared staging-file bug: diskInsert()
-    // used a fixed "<path>.tmp" staging name, so two processes
-    // sharing a cache directory and racing on the same key could
-    // interleave their writes into one staging file and rename a torn
-    // entry into place.  With per-process staging names the atomic
-    // rename is the only shared step, so every observable entry is
-    // one writer's complete payload.
+    // Two forked processes share the cache directory's journal and
+    // race to append records under the same key, each insert
+    // flushing at once.  Appends and loads hold the journal's fcntl
+    // lock, so a reader never sees two writers' records interleave:
+    // every observable entry is one writer's complete payload.
     const test::ScopedTempDir dir("sweep_cache_two_writer_test");
     harness::SweepCache::instance().setDirectory(dir.path());
 
@@ -313,8 +331,8 @@ TEST_F(SweepCacheTest, TwoProcessWritersNeverTearDiskEntries)
     const pid_t writer_b = spawnWriter(payload_b);
     ASSERT_GT(writer_b, 0);
 
-    // Read while the writers race.  A miss is fine (nothing renamed
-    // into place yet); a hit must be one complete payload, never an
+    // Read while the writers race.  A miss is fine (nothing flushed
+    // yet); a hit must be one complete payload, never an
     // interleaving of the two.
     for (int i = 0; i < 200; ++i) {
         harness::SweepCache::instance().clear(); // force a disk read
@@ -332,16 +350,17 @@ TEST_F(SweepCacheTest, TwoProcessWritersNeverTearDiskEntries)
     ASSERT_EQ(::waitpid(writer_b, &status, 0), writer_b);
     EXPECT_EQ(status, 0);
 
-    // The surviving entry must be intact (diskLookup deletes corrupt
-    // entries, so a torn survivor would also bump the corrupt
-    // counter — assert it never moved)...
+    // The last record for the key must be intact, and no record may
+    // have failed its checks on any load (a torn or interleaved
+    // record would have bumped the corrupt counter)...
     harness::SweepCache::instance().clear();
     std::vector<double> survivor;
     ASSERT_TRUE(harness::SweepCache::instance().lookup(key, survivor));
     EXPECT_TRUE(survivor == payload_a || survivor == payload_b);
     EXPECT_EQ(counterValue("sweep.cache.corrupt"), corrupt0);
 
-    // ...and every staging file was consumed by its rename.
+    // ...and the writers left nothing but the journal behind: no
+    // staging files.
     size_t stale_tmp = 0;
     for (const auto &entry :
          std::filesystem::directory_iterator(dir.path())) {

@@ -17,10 +17,16 @@
  *     and every kernel classified over the socket is bitwise
  *     identical to an uninterrupted in-process census.
  *
+ *  4. Load, fault-free, on the paper grid: a latency phase keeps p99
+ *     within 250 ms, a saturation phase against a two-slot bound
+ *     sheds, and no call stalls past its deadline or loses its
+ *     answer.
+ *
  * Fork discipline: the saturation test runs first and all forks
  * happen before this process creates any threads (client threads are
  * joined before the next fork; the in-process census that spins up
- * the harness pool runs only after the final fork).
+ * the harness pool, and the in-process daemon of the load test, run
+ * only after the final fork).
  */
 
 #include <gtest/gtest.h>
@@ -30,9 +36,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -457,6 +465,152 @@ TEST(ServiceResume, KilledServiceResumesBitwise)
     ASSERT_TRUE(WIFEXITED(status))
         << "daemon died of signal " << WTERMSIG(status);
     EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+/** One load phase's outcome, pooled over its clients. */
+struct LoadPhase {
+    uint64_t sheds = 0;
+    /** Calls that outlived their deadline plus kStallGraceMs. */
+    uint64_t stalls = 0;
+    /** Calls with no answer (transport error) or a torn one. */
+    uint64_t errors = 0;
+    /** Per answered call, sorted. */
+    std::vector<double> latencies_ms;
+};
+
+constexpr double kStallGraceMs = 500.0;
+
+/**
+ * Serve the paper grid in-process with the given admission bound and
+ * quota, wait for its census, and drive it from `clients` threads of
+ * `calls` requests each: classify, predict, health and stats in turn,
+ * or predicts only.
+ */
+LoadPhase
+runLoadPhase(const std::string &socket_path, size_t max_inflight,
+             size_t client_quota, int clients, int calls,
+             double deadline_ms, bool predict_only)
+{
+    service::ServiceOptions opts;
+    opts.socket_path = socket_path;
+    opts.max_inflight = max_inflight;
+    opts.client_quota = client_quota;
+    const gpu::AnalyticModel model;
+    service::Service svc(opts, model);
+    LoadPhase phase;
+    if (!svc.start()) {
+        ADD_FAILURE() << "service failed to start on " << socket_path;
+        return phase;
+    }
+    std::thread server([&svc] {
+        svc.loadCensus();
+        svc.serve();
+    });
+    {
+        service::Client client(socket_path);
+        EXPECT_TRUE(client.connect(30000.0));
+        EXPECT_TRUE(waitForCensus(client, 240.0));
+    }
+
+    const auto kernels =
+        workloads::WorkloadRegistry::instance().allKernels();
+    std::mutex merge_mutex;
+    std::vector<std::thread> fleet;
+    for (int t = 0; t < clients; ++t) {
+        fleet.emplace_back([&, t] {
+            service::Client client(socket_path);
+            client.connect(5000.0);
+            LoadPhase local;
+            for (int i = 0; i < calls; ++i) {
+                const size_t k =
+                    static_cast<size_t>(t * 131 + i) % kernels.size();
+                const std::string params =
+                    ",\"params\":{\"kernel\":\"" + kernels[k]->name + "\"";
+                std::ostringstream os;
+                os << "{\"id\":" << i << ",\"client\":\"load-" << t
+                   << "\",\"deadline_ms\":" << deadline_ms;
+                switch (predict_only ? 1 : i % 4) {
+                    case 0:
+                        os << ",\"op\":\"classify\"" << params << "}}";
+                        break;
+                    case 1:
+                        os << ",\"op\":\"predict\"" << params
+                           << ",\"cu\":8,\"core_clk_mhz\":800,"
+                              "\"mem_clk_mhz\":1000}}";
+                        break;
+                    case 2:
+                        os << ",\"op\":\"health\"}";
+                        break;
+                    default:
+                        os << ",\"op\":\"stats\"}";
+                        break;
+                }
+
+                const auto t0 = std::chrono::steady_clock::now();
+                std::string resp;
+                const bool got =
+                    client.call(os.str(), deadline_ms + 2000.0, &resp);
+                const double ms =
+                    std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+                if (ms > deadline_ms + kStallGraceMs)
+                    ++local.stalls;
+                if (!got) {
+                    ++local.errors;
+                    client.close();
+                    client.connect(5000.0);
+                    continue;
+                }
+                local.latencies_ms.push_back(ms);
+                const auto doc = parseFrame(resp);
+                if (!doc.isObject())
+                    ++local.errors;
+                else if (!doc.at("ok").boolean &&
+                         doc.at("error").at("code").str == "RETRY_AFTER")
+                    ++local.sheds;
+            }
+            std::lock_guard<std::mutex> lock(merge_mutex);
+            phase.sheds += local.sheds;
+            phase.stalls += local.stalls;
+            phase.errors += local.errors;
+            phase.latencies_ms.insert(phase.latencies_ms.end(),
+                                      local.latencies_ms.begin(),
+                                      local.latencies_ms.end());
+        });
+    }
+    for (auto &c : fleet)
+        c.join();
+    svc.requestDrain();
+    server.join();
+    std::sort(phase.latencies_ms.begin(), phase.latencies_ms.end());
+    return phase;
+}
+
+// After the final fork: the daemons of this test run in-process.
+TEST(ServiceLoad, LatencyAndSaturationPhasesMeetTheirBounds)
+{
+    test::ScopedTempDir dir("svc_load");
+    // Latency: the admission bound wide open, four clients mixing ops.
+    const LoadPhase latency = runLoadPhase(
+        dir.sub("latency.sock"), 64, 16, 4, 200, 2000.0, false);
+    // Saturation: eight clients hammering predicts against two slots.
+    const LoadPhase saturation = runLoadPhase(
+        dir.sub("saturate.sock"), 2, 1, 8, 50, 1000.0, true);
+
+    // p99 is the answered call at rank floor(0.99 n).
+    const auto &sorted = latency.latencies_ms;
+    ASSERT_FALSE(sorted.empty());
+    const double p99 = sorted[std::min(
+        sorted.size() - 1,
+        static_cast<size_t>(0.99 * static_cast<double>(sorted.size())))];
+    EXPECT_LE(p99, 250.0);
+    // Overload is shed with typed RETRY_AFTER frames, never queued...
+    EXPECT_GT(latency.sheds + saturation.sheds, 0u);
+    // ...and without faults every call is answered within its
+    // deadline plus grace.
+    EXPECT_EQ(latency.stalls + saturation.stalls, 0u);
+    EXPECT_EQ(latency.errors + saturation.errors, 0u);
 }
 
 } // namespace

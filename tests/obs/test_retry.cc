@@ -163,9 +163,10 @@ TEST(Retry, FromEnvParsesAttemptsAndKeepsDefaultsOnJunk)
     ASSERT_EQ(::setenv("GPUSCALE_RETRY", "5:2", 1), 0);
     EXPECT_EQ(obs::RetryPolicy::fromEnv().max_attempts, 5);
     EXPECT_EQ(obs::RetryPolicy::fromEnv().base_backoff_ms, 2.0);
-    // An attempt count past int's range warns and keeps the defaults
-    // rather than being cast.
-    for (const char *junk : {"1e300", "2147483648", "1.5", "0"}) {
+    // An attempt count past int's range, or a backoff past one day,
+    // warns and keeps the defaults rather than being cast or slept.
+    for (const char *junk : {"1e300", "2147483648", "1.5", "0",
+                             "2:1e300:1e300", "2:1:inf"}) {
         ASSERT_EQ(::setenv("GPUSCALE_RETRY", junk, 1), 0);
         EXPECT_EQ(obs::RetryPolicy::fromEnv().max_attempts,
                   defaults.max_attempts)
