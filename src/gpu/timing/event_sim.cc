@@ -353,7 +353,7 @@ EventModel::estimateImpl(const KernelDesc &kernel, const GpuConfig &cfg,
             "model.event.estimates",
             "event-model simulations");
     evaluations.inc();
-    GPUSCALE_TRACE_SCOPE("event_sim/" + kernel.name);
+    GPUSCALE_TRACE_SCOPE("event_sim/", kernel.name);
 
     kernel.validate();
     cfg.validate();

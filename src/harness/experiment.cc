@@ -10,7 +10,6 @@
 
 #include "base/logging.hh"
 #include "obs/trace.hh"
-#include "parallel.hh"
 #include "workloads/registry.hh"
 
 namespace gpuscale {
@@ -32,19 +31,12 @@ runCensus(const gpu::PerfModel &model,
     debuglog("census: %zu kernels x %zu configs with model '%s'",
              kernels.size(), census.space.size(),
              model.name().c_str());
-    census.surfaces = sweepKernels(model, kernels, census.space,
-                                   progress, journal, cancel);
-    {
-        // Classified on the pool into pre-sized slots, as the sweep
-        // fills its runtimes.  Not cancellable: once every kernel is
-        // swept, the census is worth finishing.
-        GPUSCALE_TRACE_SCOPE("census.classify");
-        census.classifications.resize(census.surfaces.size());
-        parallelFor(census.surfaces.size(), [&](size_t k) {
-            census.classifications[k] =
-                scaling::classifySurface(census.surfaces[k], params);
-        });
-    }
+    // One parallel region: each shard classifies the surfaces it
+    // builds, so classification runs inside the sweep's cancellable
+    // region.
+    census.surfaces =
+        sweepKernels(model, kernels, census.space, progress, journal,
+                     cancel, &census.classifications, params);
     return census;
 }
 

@@ -138,7 +138,7 @@ sparseSweepKernel(const gpu::PerfModel &model,
                   const scaling::TaxonomyParams &params)
 {
     SparseMetrics &metrics = SparseMetrics::get();
-    GPUSCALE_TRACE_SCOPE("sparse/" + kernel.name);
+    GPUSCALE_TRACE_SCOPE("sparse/", kernel.name);
     // Same injection site as the dense sweep: a sparse census is
     // still a sweep, and the fault tests drive both through it.
     faultPoint("sweep.kernel");

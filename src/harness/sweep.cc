@@ -11,7 +11,9 @@
  * kernel.  The flat vector becomes one immutable shared vector that
  * the sweep cache and the kernel's ScalingSurface both hold, so it is
  * never copied; keys come from model and grid fingerprints taken
- * once per sweepKernels() call.
+ * once per sweepKernels() call.  A shard stages its misses and
+ * inserts them in one batch, so the cache lock is taken for lookups
+ * and once per shard, never around an allocation.
  */
 
 #include "sweep.hh"
@@ -74,24 +76,27 @@ struct SweepMetrics {
 /**
  * Sweep one kernel over the whole grid: one cache probe under its
  * SweepCache::keyFor key, then one batched model evaluation on a
- * miss.  The vector returned is the one the cache holds (none is
- * held for an uncacheable model), never a copy.  The per-estimate
- * latency histogram is fed the batch's amortized per-point cost, and
- * sweep.estimates.count advances only for estimates actually computed
- * (cache hits are free and are counted by sweep.cache.hits).
+ * miss.  A hit returns the vector the cache holds; a miss returns the
+ * fresh vector and sets `computed`, and the caller stores it.  The
+ * per-estimate latency histogram is fed the batch's amortized
+ * per-point cost, and sweep.estimates.count advances only for
+ * estimates actually computed (cache hits are free and are counted by
+ * sweep.cache.hits).
  */
 SweepCache::Runtimes
 sweepOne(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
-         const gpu::ConfigGrid &grid, const std::string &key)
+         const gpu::ConfigGrid &grid, const std::string &key,
+         bool &computed)
 {
     SweepMetrics &metrics = SweepMetrics::get();
-    GPUSCALE_TRACE_SCOPE("sweep/" + kernel.name);
+    GPUSCALE_TRACE_SCOPE("sweep/", kernel.name);
     metrics.kernels.inc();
     // Injection site: a Delay fault here slows every kernel sweep
     // (how the kill/resume tests keep a census mid-flight); Exception
     // models a crashing worker.
     faultPoint("sweep.kernel");
 
+    computed = false;
     SweepCache &cache = SweepCache::instance();
     if (SweepCache::Runtimes hit = cache.lookupShared(key)) {
         debuglog("swept %s: %zu configs (cached)", kernel.name.c_str(),
@@ -110,7 +115,7 @@ sweepOne(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
         std::chrono::duration<double>(t1 - t0).count() /
         static_cast<double>(std::max<size_t>(1, runtimes->size())));
 
-    cache.insertShared(key, runtimes);
+    computed = true;
     debuglog("swept %s: %zu configs", kernel.name.c_str(),
              runtimes->size());
     return runtimes;
@@ -123,10 +128,13 @@ sweepKernel(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
             const scaling::ConfigSpace &space)
 {
     const gpu::ConfigGrid &grid = space.grid();
-    return scaling::ScalingSurface(
-        kernel.name, space,
-        sweepOne(model, kernel, grid,
-                 SweepCache::keyFor(model, kernel, grid)));
+    const std::string key = SweepCache::keyFor(model, kernel, grid);
+    bool computed = false;
+    SweepCache::Runtimes runtimes =
+        sweepOne(model, kernel, grid, key, computed);
+    if (computed)
+        SweepCache::instance().insertShared(key, runtimes);
+    return scaling::ScalingSurface(kernel.name, space, std::move(runtimes));
 }
 
 std::vector<scaling::ScalingSurface>
@@ -134,12 +142,15 @@ sweepKernels(const gpu::PerfModel &model,
              const std::vector<const gpu::KernelDesc *> &kernels,
              const scaling::ConfigSpace &space,
              obs::ProgressReporter *progress, CensusJournal *journal,
-             const CancelToken *cancel)
+             const CancelToken *cancel,
+             std::vector<scaling::KernelClassification> *classifications,
+             const scaling::TaxonomyParams &params)
 {
     for (const auto *kernel : kernels)
         panic_if(kernel == nullptr, "sweepKernels: null kernel");
 
     SweepMetrics &metrics = SweepMetrics::get();
+    SweepCache &cache = SweepCache::instance();
     const gpu::ConfigGrid &grid = space.grid();
     // The model and the grid are the same for every kernel, so their
     // fingerprints are taken once here, not once per key.
@@ -157,37 +168,60 @@ sweepKernels(const gpu::PerfModel &model,
         std::min(kernels.size(), std::max<size_t>(1, workers * 4));
     metrics.shards.set(static_cast<double>(num_shards));
 
-    // Each shard builds its kernels' surfaces, checks included, into
-    // pre-sized slots so workers never contend.
+    // Each shard builds (and, when asked, classifies) its kernels'
+    // surfaces, checks included, into pre-sized slots so workers
+    // never contend.
     std::vector<std::optional<scaling::ScalingSurface>> built(kernels.size());
+    if (classifications != nullptr)
+        classifications->assign(kernels.size(), {});
     parallelFor(num_shards, [&](size_t shard) {
         const auto t0 = std::chrono::steady_clock::now();
         // Balanced contiguous partition of [0, n) into num_shards.
         const size_t n = kernels.size();
         const size_t begin = shard * n / num_shards;
         const size_t end = (shard + 1) * n / num_shards;
-        for (size_t k = begin; k < end; ++k) {
-            const gpu::KernelDesc &kernel = *kernels[k];
-            // One identity for the journal and the cache, built in
-            // the shard: a kernel that changed under the same name
-            // misses both.
-            const std::string key =
-                SweepCache::keyFor(model_fp, kernel, grid_fp);
-            // Journal first: a replayed kernel skips the sweep (and
-            // the cache) entirely, and is not re-recorded.
-            std::vector<double> replayed;
-            if (journal != nullptr && journal->lookup(key, replayed)) {
-                built[k].emplace(kernel.name, space, std::move(replayed));
-            } else {
-                SweepCache::Runtimes runtimes =
-                    sweepOne(model, kernel, grid, key);
-                if (journal != nullptr)
-                    journal->record(key, *runtimes);
-                built[k].emplace(kernel.name, space, std::move(runtimes));
+        // The shard's misses, keys and nodes allocated here rather
+        // than under the cache lock, and inserted in one batch
+        // however the shard ends.
+        SweepCache::Batch staged;
+        staged.reserve(end - begin);
+        try {
+            for (size_t k = begin; k < end; ++k) {
+                const gpu::KernelDesc &kernel = *kernels[k];
+                // One identity for the journal and the cache, built
+                // in the shard: a kernel that changed under the same
+                // name misses both.
+                std::string key =
+                    SweepCache::keyFor(model_fp, kernel, grid_fp);
+                // Journal first: a replayed kernel skips the sweep
+                // (and the cache) entirely, and is not re-recorded.
+                std::vector<double> replayed;
+                if (journal != nullptr && journal->lookup(key, replayed)) {
+                    built[k].emplace(kernel.name, space,
+                                     std::move(replayed));
+                } else {
+                    bool computed = false;
+                    SweepCache::Runtimes runtimes =
+                        sweepOne(model, kernel, grid, key, computed);
+                    if (journal != nullptr)
+                        journal->record(key, *runtimes);
+                    if (computed)
+                        SweepCache::stage(staged, std::move(key), runtimes);
+                    built[k].emplace(kernel.name, space,
+                                     std::move(runtimes));
+                }
+                if (classifications != nullptr) {
+                    (*classifications)[k] =
+                        scaling::classifySurface(*built[k], params);
+                }
+                if (progress != nullptr)
+                    progress->tick();
             }
-            if (progress != nullptr)
-                progress->tick();
+        } catch (...) {
+            cache.insertBatch(staged);
+            throw;
         }
+        cache.insertBatch(staged);
         const auto t1 = std::chrono::steady_clock::now();
         metrics.shard_latency.record(
             std::chrono::duration<double>(t1 - t0).count());

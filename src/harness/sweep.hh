@@ -16,6 +16,7 @@
 #include "harness/cancel.hh"
 #include "scaling/config_space.hh"
 #include "scaling/surface.hh"
+#include "scaling/taxonomy.hh"
 
 namespace gpuscale {
 namespace obs {
@@ -39,7 +40,10 @@ scaling::ScalingSurface sweepKernel(const gpu::PerfModel &model,
 /**
  * Measure a batch of kernels; kernels are distributed across worker
  * threads in contiguous shards (census.shard.* metrics), each kernel
- * evaluated as one batched grid call through the SweepCache.
+ * evaluated as one batched grid call through the SweepCache.  A
+ * shard stages the vectors it computes and hands them to the cache
+ * in one SweepCache::insertBatch() when it ends, thrown exceptions
+ * included, so an interrupted sweep keeps every kernel it computed.
  *
  * Each swept kernel records a "sweep/<name>" trace span and feeds the
  * sweep.estimate.latency histogram (see docs/observability.md).
@@ -57,6 +61,11 @@ scaling::ScalingSurface sweepKernel(const gpu::PerfModel &model,
  *        an expired token aborts the sweep with CancelledError.
  *        Kernels already journaled stay journaled, so a cancelled
  *        sweep resumes exactly like a killed one.
+ * @param classifications optional output: resized to one slot per
+ *        kernel, each classified with `params` by the shard that
+ *        built its surface (replayed kernels included), so a census
+ *        is one parallel region rather than a sweep and a second
+ *        classification pass.
  */
 std::vector<scaling::ScalingSurface> sweepKernels(
     const gpu::PerfModel &model,
@@ -64,7 +73,9 @@ std::vector<scaling::ScalingSurface> sweepKernels(
     const scaling::ConfigSpace &space,
     obs::ProgressReporter *progress = nullptr,
     CensusJournal *journal = nullptr,
-    const CancelToken *cancel = nullptr);
+    const CancelToken *cancel = nullptr,
+    std::vector<scaling::KernelClassification> *classifications = nullptr,
+    const scaling::TaxonomyParams &params = scaling::TaxonomyParams{});
 
 } // namespace harness
 } // namespace gpuscale

@@ -174,8 +174,9 @@ SweepCache::lookupShared(const std::string &key)
     if (disk != nullptr && disk->lookup(key, from_disk)) {
         Runtimes runtimes =
             std::make_shared<const std::vector<double>>(std::move(from_disk));
-        std::lock_guard<std::mutex> lock(mutex_);
-        rememberLocked(key, runtimes);
+        Batch promoted;
+        promoted.try_emplace(key, runtimes);
+        link(promoted);
         metrics.hits.inc();
         return runtimes;
     }
@@ -187,21 +188,43 @@ SweepCache::lookupShared(const std::string &key)
 void
 SweepCache::insertShared(const std::string &key, const Runtimes &runtimes)
 {
+    Batch one;
+    stage(one, key, runtimes);
+    insertBatch(one);
+}
+
+void
+SweepCache::stage(Batch &batch, std::string key, Runtimes runtimes)
+{
     if (key.empty())
         return;
     panic_if(runtimes == nullptr, "sweep-cache insert without runtimes");
+    batch.insert_or_assign(std::move(key), std::move(runtimes));
+}
+
+void
+SweepCache::insertBatch(Batch &batch)
+{
+    if (batch.empty())
+        return;
     std::shared_ptr<CensusJournal> disk;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        rememberLocked(key, runtimes);
         disk = disk_;
     }
     if (disk != nullptr) {
-        // Flushed at once so other processes see the entry; the
-        // memory layer keeps it either way.
-        disk->record(key, *runtimes);
-        disk->flush();
+        // Recorded while the batch still holds its keys, and flushed
+        // at once so other processes see the entries.
+        try {
+            for (const auto &[key, runtimes] : batch)
+                disk->record(key, *runtimes);
+            disk->flush();
+        } catch (...) {
+            link(batch);
+            throw;
+        }
     }
+    link(batch);
 }
 
 bool
@@ -224,21 +247,29 @@ SweepCache::insert(const std::string &key,
 }
 
 void
-SweepCache::rememberLocked(const std::string &key, const Runtimes &runtimes)
+SweepCache::link(Batch &batch)
 {
-    const auto [it, fresh] = map_.try_emplace(key, runtimes);
-    if (!fresh) {
-        it->second = runtimes;
+    std::lock_guard<std::mutex> lock(mutex_);
+    while (!batch.empty())
+        linkLocked(batch.extract(batch.begin()));
+}
+
+void
+SweepCache::linkLocked(Batch::node_type node)
+{
+    auto linked = map_.insert(std::move(node));
+    if (!linked.inserted) {
+        linked.position->second = std::move(linked.node.mapped());
         return;
     }
-    while (map_.size() > kMaxEntries) {
+    if (map_.size() > kMaxEntries) {
         // Find, then erase by iterator: erase(key) would be handed a
         // reference into the very node it destroys.
-        const auto oldest = map_.find(*fifo_.front());
-        fifo_.pop_front();
-        map_.erase(oldest);
+        map_.erase(map_.find(*fifo_[fifo_head_]));
+        fifo_head_ = (fifo_head_ + 1) % kMaxEntries;
     }
-    fifo_.push_back(&it->first);
+    fifo_[(fifo_head_ + map_.size() - 1) % kMaxEntries] =
+        &linked.position->first;
     CacheMetrics::get().entries.set(static_cast<double>(map_.size()));
 }
 
@@ -265,7 +296,7 @@ SweepCache::clear()
     {
         std::lock_guard<std::mutex> lock(mutex_);
         map_.clear();
-        fifo_.clear();
+        fifo_head_ = 0;
         CacheMetrics::get().entries.set(0.0);
         disk = disk_;
     }

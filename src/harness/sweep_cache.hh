@@ -32,8 +32,8 @@
 #ifndef GPUSCALE_HARNESS_SWEEP_CACHE_HH
 #define GPUSCALE_HARNESS_SWEEP_CACHE_HH
 
+#include <array>
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -87,8 +87,33 @@ class SweepCache
      */
     Runtimes lookupShared(const std::string &key);
 
-    /** Store a sweep's shared vector as is; no-op for an empty key. */
+    /**
+     * Store a sweep's shared vector as is; no-op for an empty key.  A
+     * batch of one (insertBatch()).
+     */
     void insertShared(const std::string &key, const Runtimes &runtimes);
+
+    /**
+     * Entries staged for insertBatch().  It is the cache's own map
+     * type, so a staged node, key included, moves into the cache as
+     * it is: allocated where it was staged, not under the cache lock.
+     */
+    using Batch = std::unordered_map<std::string, Runtimes>;
+
+    /**
+     * Stage one sweep into `batch`, taking over its key and vector;
+     * no-op for an empty key.
+     */
+    static void stage(Batch &batch, std::string key, Runtimes runtimes);
+
+    /**
+     * Store every entry of `batch` and leave it empty.  The entries
+     * are linked into the cache under one lock, which allocates
+     * nothing; with a disk layer they are first recorded and flushed
+     * once, outside the lock.  The memory layer keeps them even when
+     * the disk layer throws.
+     */
+    void insertBatch(Batch &batch);
 
     /** lookupShared(), copying a hit into `runtimes`. */
     bool lookup(const std::string &key, std::vector<double> &runtimes);
@@ -117,7 +142,15 @@ class SweepCache
   private:
     SweepCache() = default;
 
-    void rememberLocked(const std::string &key, const Runtimes &runtimes);
+    /** Move every node of `batch` into the cache under one lock. */
+    void link(Batch &batch);
+
+    /**
+     * Link one staged node: a fresh key joins the FIFO (evicting the
+     * oldest entries past the cap), a present one takes the new
+     * vector.
+     */
+    void linkLocked(Batch::node_type node);
 
     /**
      * In-memory entries are bounded: a census caches one entry per
@@ -131,12 +164,16 @@ class SweepCache
     // (enforced by the lock-discipline rule).
     mutable std::mutex mutex_;
     // guarded_by(mutex_)
-    std::unordered_map<std::string, Runtimes> map_;
-    // Insertion order, oldest first.  Each element points at its
-    // entry's key inside map_: map nodes never move, and an entry
-    // leaves the map and the FIFO together.
+    Batch map_;
+    // Insertion order: a ring of kMaxEntries slots, held inline so
+    // that a link never allocates, with map_.size() entries from the
+    // oldest at fifo_head_.  Each element points at its entry's key
+    // inside map_: map nodes never move, and an entry leaves the map
+    // and the ring together.
     // guarded_by(mutex_)
-    std::deque<const std::string *> fifo_;
+    std::array<const std::string *, kMaxEntries> fifo_{};
+    // guarded_by(mutex_)
+    size_t fifo_head_ = 0;
     // The disk layer; lookups and inserts copy the pointer and use
     // the store outside mutex_.
     // guarded_by(mutex_)

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "flight_recorder.hh"
@@ -71,17 +72,23 @@ class TraceSession
  * RAII span: measures construction-to-destruction on the steady clock
  * and records a complete event into the trace session and/or the
  * flight recorder, whichever is active (two relaxed loads when
- * neither is).
+ * neither is).  The name is built only when one of them is, so a
+ * per-kernel span ("sweep/" + kernel name) costs no allocation on an
+ * untraced run.
  */
 class TraceScope
 {
   public:
-    explicit TraceScope(std::string name)
+    explicit TraceScope(std::string_view name) : TraceScope(name, {}) {}
+
+    /** A span named prefix + suffix, concatenated only when armed. */
+    TraceScope(std::string_view prefix, std::string_view suffix)
     {
         trace_armed_ = TraceSession::active();
         flight_armed_ = FlightRecorder::active();
         if (trace_armed_ || flight_armed_) {
-            name_ = std::move(name);
+            name_.reserve(prefix.size() + suffix.size());
+            name_.append(prefix).append(suffix);
             start_us_ = detail::traceNowUs();
         }
     }
@@ -118,9 +125,12 @@ class TraceScope
 #define GPUSCALE_TRACE_CONCAT2(a, b) a##b
 #define GPUSCALE_TRACE_CONCAT(a, b) GPUSCALE_TRACE_CONCAT2(a, b)
 
-/** Open a traced span covering the rest of the enclosing scope. */
-#define GPUSCALE_TRACE_SCOPE(name)                                     \
+/**
+ * Open a traced span covering the rest of the enclosing scope, named
+ * (name) or (prefix, suffix).
+ */
+#define GPUSCALE_TRACE_SCOPE(...)                                      \
     ::gpuscale::obs::TraceScope GPUSCALE_TRACE_CONCAT(                 \
-        gpuscale_trace_scope_, __LINE__)(name)
+        gpuscale_trace_scope_, __LINE__)(__VA_ARGS__)
 
 #endif // GPUSCALE_OBS_TRACE_HH

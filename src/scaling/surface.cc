@@ -136,14 +136,29 @@ double
 ScalingSurface::perfRange() const
 {
     // bestPerf() / worstPerf(), with both extremes from one pass.
+    // Eight independent min and max chains instead of one dependent
+    // chain; min and max are exact, so the order they combine in
+    // cannot change the result.
+    constexpr size_t kLanes = 8;
     const std::vector<double> &rt = runtimes();
-    double lo = rt[0];
-    double hi = rt[0];
-    for (const double x : rt) {
-        lo = std::min(lo, x);
-        hi = std::max(hi, x);
+    std::array<double, kLanes> lo;
+    std::array<double, kLanes> hi;
+    lo.fill(rt[0]);
+    hi.fill(rt[0]);
+    size_t i = 0;
+    for (; i + kLanes <= rt.size(); i += kLanes) {
+        for (size_t l = 0; l < kLanes; ++l) {
+            lo[l] = std::min(lo[l], rt[i + l]);
+            hi[l] = std::max(hi[l], rt[i + l]);
+        }
     }
-    return (1.0 / lo) / (1.0 / hi);
+    for (; i < rt.size(); ++i) {
+        lo[0] = std::min(lo[0], rt[i]);
+        hi[0] = std::max(hi[0], rt[i]);
+    }
+    const double fastest = *std::min_element(lo.begin(), lo.end());
+    const double slowest = *std::max_element(hi.begin(), hi.end());
+    return (1.0 / fastest) / (1.0 / slowest);
 }
 
 double

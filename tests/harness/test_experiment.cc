@@ -10,6 +10,8 @@
 #include <string>
 
 #include "gpu/analytic_model.hh"
+#include "harness/sweep_cache.hh"
+#include "obs/metrics.hh"
 #include "workloads/registry.hh"
 
 namespace gpuscale {
@@ -48,9 +50,9 @@ expectSameVerdict(const scaling::ShapeVerdict &pooled,
 }
 
 /**
- * runCensus classifies on the worker pool; the serial classifyAll
- * over the same surfaces is the reference, field by field and bit
- * for bit.
+ * runCensus classifies each surface in the pool shard that swept it;
+ * the serial classifyAll over the same surfaces is the reference,
+ * field by field and bit for bit.
  */
 void
 expectPooledMatchesSerial(const CensusResult &census)
@@ -73,6 +75,21 @@ expectPooledMatchesSerial(const CensusResult &census)
 TEST(ExperimentTest, PooledClassificationMatchesClassifyAll)
 {
     expectPooledMatchesSerial(testCensus());
+}
+
+TEST(ExperimentTest, ColdCensusIsOneParallelRegion)
+{
+    // Sweep and classification share one pool region: no second
+    // parallelFor classifies after the sweep.
+    const gpu::AnalyticModel model;
+    const auto space = scaling::ConfigSpace::paperGrid();
+    obs::Counter &invocations =
+        obs::Registry::instance().counter("parallel.invocations");
+    SweepCache::instance().clear();
+    const uint64_t before = invocations.value();
+    const auto census = runCensus(model, space);
+    EXPECT_EQ(invocations.value() - before, 1u);
+    EXPECT_EQ(census.classifications.size(), 267u);
 }
 
 TEST(ExperimentTest, SurfacesAndClassificationsAligned)

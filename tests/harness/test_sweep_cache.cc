@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "base/fault.hh"
 #include "gpu/analytic_model.hh"
 #include "harness/noise.hh"
 #include "harness/parallel.hh"
@@ -269,6 +270,26 @@ TEST_F(SweepCacheTest, DiskLayerSurvivesInMemoryClear)
         EXPECT_EQ(first.runtimes()[i], second.runtimes()[i]);
 }
 
+TEST_F(SweepCacheTest, DiskWriteThatThrowsKeepsTheMemoryEntry)
+{
+    // An insert records to the disk layer before it links the entry
+    // into memory; a disk write that throws must still leave the
+    // entry in memory, as when memory went first.
+    const test::ScopedTempDir dir("sweep_cache_disk_throw_test");
+    auto &cache = harness::SweepCache::instance();
+    cache.setDirectory(dir.path());
+    FaultInjector::instance().arm(
+        {{"sweep_cache.disk.write", 1.0, FaultKind::Exception, 0.0}}, 0);
+    EXPECT_THROW(cache.insert("disk-throw|k", {1.0, 2.0}),
+                 FaultInjectedError);
+    FaultInjector::instance().disarm();
+
+    EXPECT_EQ(cache.entries(), 1u);
+    std::vector<double> out;
+    ASSERT_TRUE(cache.lookup("disk-throw|k", out));
+    EXPECT_EQ(out, (std::vector<double>{1.0, 2.0}));
+}
+
 TEST_F(SweepCacheTest, CorruptDiskEntryDegradesToMiss)
 {
     const test::ScopedTempDir dir("sweep_cache_corrupt_test");
@@ -411,6 +432,55 @@ TEST_F(SweepCacheTest, ConcurrentSweepsHitAndMissCoherently)
     EXPECT_EQ(hits + misses, (1 + kRounds) * subset.size());
     EXPECT_GE(misses, subset.size());
     EXPECT_GE(hits, subset.size());
+}
+
+TEST_F(SweepCacheTest, InterruptedSweepKeepsEveryKernelItComputed)
+{
+    // A shard stages its misses and inserts them when it ends.  An
+    // injected sweep.kernel exception must not lose the kernels its
+    // shard computed before the throw: every kernel the model
+    // evaluated is in the cache, and a retry evaluates only the rest.
+    auto &cache = harness::SweepCache::instance();
+    const gpu::AnalyticModel model;
+    const auto space = scaling::ConfigSpace::testGrid();
+    const auto kernels =
+        workloads::WorkloadRegistry::instance().allKernels();
+
+    // The sweep runs inside a pool worker, where it takes
+    // parallelFor's serial path: its shards run in order on one
+    // thread, so the seeded draw that throws (the 22nd of the site's
+    // stream) hits the same kernel on every host.  For every shard
+    // count from 4 to 64 that kernel sits inside its shard, after
+    // kernels the shard computed and staged.
+    const uint64_t estimates0 = counterValue("sweep.estimates.count");
+    FaultInjector::instance().arm(
+        {{"sweep.kernel", 0.05, FaultKind::Exception, 0.0}}, 5);
+    std::atomic<bool> threw{false};
+    harness::parallelFor(2, [&](size_t i) {
+        if (i != 0)
+            return;
+        try {
+            harness::sweepKernels(model, kernels, space);
+        } catch (const FaultInjectedError &) {
+            threw = true;
+        }
+    }, 2);
+    FaultInjector::instance().disarm();
+    ASSERT_TRUE(threw.load());
+
+    const uint64_t evaluated =
+        (counterValue("sweep.estimates.count") - estimates0) / space.size();
+    ASSERT_GT(evaluated, 0u);
+    ASSERT_LT(evaluated, kernels.size());
+    EXPECT_EQ(cache.entries(), evaluated);
+
+    const uint64_t hits0 = counterValue("sweep.cache.hits");
+    const uint64_t retry0 = counterValue("sweep.estimates.count");
+    const auto surfaces = harness::sweepKernels(model, kernels, space);
+    ASSERT_EQ(surfaces.size(), kernels.size());
+    EXPECT_EQ(counterValue("sweep.cache.hits") - hits0, evaluated);
+    EXPECT_EQ(counterValue("sweep.estimates.count") - retry0,
+              (kernels.size() - evaluated) * space.size());
 }
 
 TEST_F(SweepCacheTest, ConcurrentMixedModelsNeverCrossContaminate)

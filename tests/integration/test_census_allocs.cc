@@ -67,8 +67,17 @@ operator delete(void *p, std::size_t) noexcept
 namespace gpuscale {
 namespace {
 
-/** Allocations per kernel a cold census may make. */
-constexpr uint64_t kAllocsPerKernel = 12;
+/**
+ * Allocations per kernel a cold census may make: the measured figure
+ * plus one.  A cold paper-grid census on a 4-core host made 1,680
+ * allocations, 6.3 per kernel: six per kernel (the key, which moves
+ * into its cache node; the runtime vector and its shared-pointer
+ * control block; the cache node; the surface's and the
+ * classification's copies of the kernel name) and a few dozen per
+ * census (each shard's staging buckets, the Amdahl buffers, the
+ * result vectors).
+ */
+constexpr double kAllocsPerKernel = 7.3;
 
 /** Allocations per kernel the bare batched model may make. */
 constexpr double kModelAllocsPerKernel = 2.0;
@@ -104,7 +113,8 @@ TEST(CensusAllocsTest, ColdPaperGridCensusStaysWithinBudget)
     const uint64_t made = allocations() - before;
     ASSERT_EQ(census.classifications.size(), kernels);
 
-    const uint64_t budget = kAllocsPerKernel * kernels;
+    const auto budget = static_cast<uint64_t>(
+        kAllocsPerKernel * static_cast<double>(kernels));
     EXPECT_LE(made, budget)
         << "a cold census made " << made << " allocations ("
         << static_cast<double>(made) / static_cast<double>(kernels)

@@ -99,6 +99,22 @@ TEST(TraceTest, EmitsParseableNestedSpans)
               outer->at("ts").number + outer->at("dur").number + 1e-3);
 }
 
+TEST(TraceTest, TwoPartNameIsConcatenated)
+{
+    const std::string path = tempPath("trace_two_part.json");
+    const std::string kernel = "rodinia/hotspot/calculate_temp";
+    TraceSession::start(path);
+    {
+        GPUSCALE_TRACE_SCOPE("sweep/", kernel);
+    }
+    EXPECT_EQ(TraceSession::stop(), 1u);
+
+    const JsonValue doc = parseJson(slurp(path));
+    const auto spans = spanEvents(doc);
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0]->at("name").str, "sweep/" + kernel);
+}
+
 TEST(TraceTest, ThreadsGetDistinctTracks)
 {
     const std::string path = tempPath("trace_threads.json");
