@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <thread>
 
 #include "base/fault.hh"
@@ -52,34 +53,41 @@ struct SparseMetrics {
 
 /**
  * What every kernel of one sparse census shares, built once per
- * census: the fingerprints each cache key starts from, and the LHS
- * plan, a function of (space, seed, budget) alone.
+ * census: the fingerprints each cache key starts from, the suffix it
+ * ends with, and the LHS plan, a function of (space, seed, budget)
+ * alone.
  */
 struct CensusInvariants {
     std::string model_fp;
     std::string grid_fp;
+    std::string key_suffix;       ///< see keySuffix()
     std::vector<size_t> lhs_plan; ///< empty for the active sampler
 };
 
-/**
- * Cache key for one kernel's sample plan: the full-sweep key plus
- * everything the plan depends on.  Empty when the model is
- * uncacheable (empty full-sweep key).
- */
+/** Everything a kernel's sample plan depends on beyond its sweep. */
 std::string
-sparseKeyFor(const CensusInvariants &invariants,
-             const gpu::KernelDesc &kernel,
-             const SparseCensusOptions &options)
+keySuffix(const SparseCensusOptions &options)
 {
-    const std::string base =
-        SweepCache::keyFor(invariants.model_fp, kernel, invariants.grid_fp);
-    if (base.empty())
-        return "";
-    return base + "|sparse|" +
-           scaling::samplerKindName(options.sampler) +
+    return "|sparse|" + scaling::samplerKindName(options.sampler) +
            "|k=" + std::to_string(options.samples) +
            "|seed=" + std::to_string(options.seed) +
            "|e=" + std::to_string(options.ensemble);
+}
+
+/**
+ * Cache key for one kernel's sample plan: the full-sweep key plus
+ * the census's key suffix.  Empty when the model is uncacheable
+ * (empty full-sweep key).
+ */
+std::string
+sparseKeyFor(const CensusInvariants &invariants,
+             const gpu::KernelDesc &kernel)
+{
+    std::string key =
+        SweepCache::keyFor(invariants.model_fp, kernel, invariants.grid_fp);
+    if (!key.empty())
+        key += invariants.key_suffix;
+    return key;
 }
 
 /**
@@ -144,16 +152,19 @@ sparseSweepKernel(const gpu::PerfModel &model,
     faultPoint("sweep.kernel");
 
     const scaling::ConfigSpace &space = predictor.space();
-    const std::string key = sparseKeyFor(invariants, kernel, options);
+    const std::string key = sparseKeyFor(invariants, kernel);
 
-    std::vector<size_t> indices;
-    std::vector<double> runtimes;
-    std::vector<double> packed;
+    // The plan and its runtimes, per thread so their capacity lasts.
+    thread_local std::vector<size_t> indices;
+    thread_local std::vector<double> runtimes;
     bool measured = false;
-    if (!key.empty() && SweepCache::instance().lookup(key, packed) &&
-        unpackSamples(packed, space.size(), indices, runtimes))
-    {
-        measured = true;
+    if (!key.empty()) {
+        const SweepCache::Runtimes hit =
+            SweepCache::instance().lookupShared(key);
+        measured = hit != nullptr &&
+                   unpackSamples(*hit, space.size(), indices, runtimes);
+    }
+    if (measured) {
         debuglog("sparse %s: %zu samples (cached)", kernel.name.c_str(),
                  indices.size());
     }
@@ -167,21 +178,20 @@ sparseSweepKernel(const gpu::PerfModel &model,
         };
         switch (options.sampler) {
           case scaling::SamplerKind::Lhs:
-            indices = invariants.lhs_plan;
-            runtimes.reserve(indices.size());
-            for (const size_t flat : indices)
-                runtimes.push_back(measureOne(flat));
+            indices.assign(invariants.lhs_plan.begin(),
+                           invariants.lhs_plan.end());
             break;
           case scaling::SamplerKind::Active:
             indices = predictor.activePlan(options.samples, measureOne);
-            runtimes.reserve(indices.size());
-            for (const size_t flat : indices)
-                runtimes.push_back(measureOne(flat));
             break;
         }
+        runtimes.clear();
+        for (const size_t flat : indices)
+            runtimes.push_back(measureOne(flat));
         if (!key.empty()) {
-            SweepCache::instance().insert(
-                key, packSamples(indices, runtimes));
+            SweepCache::instance().insertShared(
+                key, std::make_shared<const std::vector<double>>(
+                         packSamples(indices, runtimes)));
         }
         debuglog("sparse %s: %zu samples", kernel.name.c_str(),
                  indices.size());
@@ -223,6 +233,7 @@ runSparseCensus(const gpu::PerfModel &model,
     const CensusInvariants invariants{
         model.fingerprint(),
         census.space.grid().fingerprint(),
+        keySuffix(options),
         options.sampler == scaling::SamplerKind::Lhs
             ? predictor.lhsPlan(options.samples)
             : std::vector<size_t>{},

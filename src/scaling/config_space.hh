@@ -10,9 +10,8 @@
  * gpu::ConfigGrid (scaling sits above gpu in the layer order): the
  * axes, the flatten order and the axis checks are the grid's own, and
  * grid() hands the model layer that same object.  Copies share it, so
- * copying a ConfigSpace (every ScalingSurface holds one, and a sparse
- * census builds 17 surfaces per kernel) is one reference-count
- * increment, not three vector allocations.
+ * copying a ConfigSpace (every ScalingSurface holds one) is one
+ * reference-count increment, not three vector allocations.
  */
 
 #ifndef GPUSCALE_SCALING_CONFIG_SPACE_HH

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #include "base/logging.hh"
 #include "base/random.hh"
@@ -143,6 +142,7 @@ struct LaneScratch {
     std::vector<double> num;     ///< per-level residual sums
     std::vector<double> shift;   ///< per lane
     LaneAxis cu, core, mem;
+    std::vector<double> fits;    ///< [lane * grid size + flat]
 };
 
 /**
@@ -245,6 +245,7 @@ struct SparsePredictor::Samples {
     std::vector<size_t> cu_i, core_i, mem_i;
     std::vector<double> log_rt;
     std::vector<double> runtime;
+    std::vector<std::pair<size_t, double>> rows; ///< sort buffer
 
     size_t size() const { return flat.size(); }
 };
@@ -262,7 +263,7 @@ SparsePredictor::SparsePredictor(ConfigSpace space,
              options_.ridge);
 }
 
-SparsePredictor::Samples
+const SparsePredictor::Samples &
 SparsePredictor::canonicalize(std::span<const size_t> indices,
                               std::span<const double> runtimes) const
 {
@@ -271,8 +272,9 @@ SparsePredictor::canonicalize(std::span<const size_t> indices,
              indices.size(), runtimes.size());
     fatal_if(indices.empty(), "sparse: no samples");
 
-    std::vector<std::pair<size_t, double>> rows;
-    rows.reserve(indices.size());
+    thread_local Samples out;
+    std::vector<std::pair<size_t, double>> &rows = out.rows;
+    rows.clear();
     for (size_t s = 0; s < indices.size(); ++s) {
         fatal_if(indices[s] >= space_.size(),
                  "sparse: sample index %zu outside the %zu-point grid",
@@ -287,11 +289,10 @@ SparsePredictor::canonicalize(std::span<const size_t> indices,
     }
     std::sort(rows.begin(), rows.end());
 
-    Samples out;
     for (auto *v : {&out.flat, &out.cu_i, &out.core_i, &out.mem_i})
-        v->reserve(rows.size());
-    out.log_rt.reserve(rows.size());
-    out.runtime.reserve(rows.size());
+        v->clear();
+    out.log_rt.clear();
+    out.runtime.clear();
     for (const auto &[flat, rt] : rows) {
         if (!out.flat.empty() && out.flat.back() == flat) {
             fatal_if(out.runtime.back() != rt,
@@ -419,7 +420,7 @@ SparsePredictor::lhsPlan(size_t budget) const
     return plan;
 }
 
-std::vector<std::vector<double>>
+std::span<const double>
 SparsePredictor::fitLanes(const Samples &samples,
                           const std::string &kernel_name, bool point,
                           size_t members) const
@@ -482,11 +483,15 @@ SparsePredictor::fitLanes(const Samples &samples,
 
     // Measured points pass through bitwise: the reconstruction never
     // contradicts a measurement, and a full-grid fit *is* the dense
-    // census.  So exp runs at the unmeasured points only.
-    std::vector<std::vector<double>> surfaces(lanes);
+    // census.  So exp runs at the unmeasured points only, and only its
+    // values need the finite-and-positive check canonicalize() gave
+    // the measurements: an effect extrapolated far enough overflows
+    // exp to inf or underflows it to 0.
+    const size_t size = space_.size();
+    std::vector<double> &fits = scratch.fits;
+    fits.resize(lanes * size);
     for (size_t lane = 0; lane < lanes; ++lane) {
-        std::vector<double> &out = surfaces[lane];
-        out.resize(space_.size());
+        double *out = &fits[lane * size];
         size_t flat = 0;
         size_t next = 0; // next measured sample, in flat order
         for (size_t i = 0; i < space_.numCu(); ++i) {
@@ -498,22 +503,29 @@ SparsePredictor::fitLanes(const Samples &samples,
                         out[flat] = samples.runtime[next];
                         ++next;
                     } else {
-                        out[flat] = std::exp(ij + c.effect[k * lanes + lane]);
+                        const double fitted =
+                            std::exp(ij + c.effect[k * lanes + lane]);
+                        fatal_if(!(std::isfinite(fitted) && fitted > 0),
+                                 "sparse: fitted runtime %g at index %zu "
+                                 "is not finite and positive",
+                                 fitted, flat);
+                        out[flat] = fitted;
                     }
                     ++flat;
                 }
             }
         }
     }
-    return surfaces;
+    return fits;
 }
 
 std::vector<double>
 SparsePredictor::fitSurface(std::span<const size_t> indices,
                             std::span<const double> runtimes) const
 {
-    const Samples samples = canonicalize(indices, runtimes);
-    return std::move(fitLanes(samples, "", true, 0).front());
+    const std::span<const double> fit =
+        fitLanes(canonicalize(indices, runtimes), "", true, 0);
+    return {fit.begin(), fit.end()};
 }
 
 std::vector<size_t>
@@ -559,19 +571,19 @@ SparsePredictor::activePlan(
     // Greedy: measure next where the bootstrap ensemble disagrees
     // most (widest log-runtime spread); ties break toward the lowest
     // flat index so the sequence is deterministic.
+    const size_t size = space_.size();
     while (plan.size() < budget) {
-        const Samples samples = canonicalize(plan, measured);
-        const auto members =
-            fitLanes(samples, "", false, options_.ensemble);
-        size_t best = space_.size();
+        const std::span<const double> members = fitLanes(
+            canonicalize(plan, measured), "", false, options_.ensemble);
+        size_t best = size;
         double best_spread = -1.0;
-        for (size_t flat = 0; flat < space_.size(); ++flat) {
+        for (size_t flat = 0; flat < size; ++flat) {
             if (selected[flat])
                 continue;
             double lo = std::numeric_limits<double>::infinity();
             double hi = -std::numeric_limits<double>::infinity();
-            for (const auto &member : members) {
-                const double y = std::log(member[flat]);
+            for (size_t m = 0; m < options_.ensemble; ++m) {
+                const double y = std::log(members[m * size + flat]);
                 lo = std::min(lo, y);
                 hi = std::max(hi, y);
             }
@@ -581,7 +593,7 @@ SparsePredictor::activePlan(
                 best = flat;
             }
         }
-        if (best == space_.size())
+        if (best == size)
             break; // every configuration measured
         take(best);
     }
@@ -594,26 +606,33 @@ SparsePredictor::reconstruct(const std::string &kernel_name,
                              std::span<const double> runtimes,
                              const TaxonomyParams &params) const
 {
-    const Samples samples = canonicalize(indices, runtimes);
+    const Samples &samples = canonicalize(indices, runtimes);
+    const size_t size = space_.size();
 
     // Lane 0 is the point estimate, lanes 1.. the ensemble members.
     // Members honour the measurements too: bands collapse to zero
-    // width where the truth is known.
-    std::vector<std::vector<double>> fits =
+    // width where the truth is known.  Only the estimate becomes a
+    // surface; members and bands are classified from spans.
+    const std::span<const double> fits =
         fitLanes(samples, kernel_name, true, options_.ensemble);
+    const std::span<const double> estimate = fits.first(size);
+    const auto member = [&](size_t m) {
+        return fits.subspan((1 + m) * size, size);
+    };
 
-    std::vector<double> lower = fits[0];
-    std::vector<double> upper = fits[0];
-    for (size_t m = 1; m < fits.size(); ++m) {
-        const std::vector<double> &member = fits[m];
-        for (size_t j = 0; j < member.size(); ++j) {
-            lower[j] = std::min(lower[j], member[j]);
-            upper[j] = std::max(upper[j], member[j]);
+    std::vector<double> lower(estimate.begin(), estimate.end());
+    std::vector<double> upper = lower;
+    for (size_t m = 0; m < options_.ensemble; ++m) {
+        const std::span<const double> fit = member(m);
+        for (size_t j = 0; j < size; ++j) {
+            lower[j] = std::min(lower[j], fit[j]);
+            upper[j] = std::max(upper[j], fit[j]);
         }
     }
 
     SparseReconstruction out{
-        ScalingSurface(kernel_name, space_, std::move(fits[0])),
+        ScalingSurface(kernel_name, space_,
+                       std::vector<double>(estimate.begin(), estimate.end())),
         std::move(lower),
         std::move(upper),
         {},
@@ -623,17 +642,13 @@ SparsePredictor::reconstruct(const std::string &kernel_name,
     };
     out.cls = classifySurface(out.surface, params);
 
-    // Each member's vector moves into the surface that classifies it.
     size_t votes = 0;
-    bool member_crosses = false;
-    for (size_t m = 1; m < fits.size(); ++m) {
-        const KernelClassification mc = classifySurface(
-            ScalingSurface(kernel_name, space_, std::move(fits[m])),
-            params);
-        if (mc.cls == out.cls.cls)
+    bool band_crosses = false;
+    for (size_t m = 0; m < options_.ensemble; ++m) {
+        if (classifyRuntimes(space_, member(m), params).cls == out.cls.cls)
             ++votes;
         else
-            member_crosses = true;
+            band_crosses = true;
     }
     out.confidence = static_cast<double>(votes) /
                      static_cast<double>(options_.ensemble);
@@ -648,33 +663,30 @@ SparsePredictor::reconstruct(const std::string &kernel_name,
     // slower, and vice versa.  Measured points have zero-width bands,
     // so the anchor curves (and the shape verdicts read from them)
     // are untouched; only the range statistic moves.
-    const std::vector<double> &estimate = out.surface.runtimes();
-    std::vector<double> spread(estimate.size());
-    std::vector<double> shrunk(estimate.size());
+    thread_local std::vector<double> spread;
+    thread_local std::vector<double> shrunk;
+    spread.resize(size);
+    shrunk.resize(size);
     // spread holds each estimate's log until the band edges replace
     // it, so every log is taken once.
     double mean_log = 0.0;
-    for (size_t j = 0; j < estimate.size(); ++j) {
+    for (size_t j = 0; j < size; ++j) {
         spread[j] = std::log(estimate[j]);
         mean_log += spread[j];
     }
-    mean_log /= static_cast<double>(estimate.size());
-    for (size_t j = 0; j < estimate.size(); ++j) {
+    mean_log /= static_cast<double>(size);
+    for (size_t j = 0; j < size; ++j) {
         const bool fast = spread[j] <= mean_log;
         spread[j] = fast ? out.lower[j] : out.upper[j];
         shrunk[j] = fast ? out.upper[j] : out.lower[j];
     }
 
-    bool band_crosses = member_crosses;
-    for (std::vector<double> *band :
+    for (const std::vector<double> *band :
          {&out.lower, &out.upper, &spread, &shrunk})
     {
-        // Lend the band to its surface and take it back: no copy.
-        auto held = std::make_shared<std::vector<double>>(std::move(*band));
-        const KernelClassification bc = classifySurface(
-            ScalingSurface(kernel_name, space_, held), params);
-        *band = std::move(*held);
-        band_crosses = band_crosses || bc.cls != out.cls.cls;
+        band_crosses = band_crosses ||
+                       classifyRuntimes(space_, *band, params).cls !=
+                           out.cls.cls;
     }
     out.band_crosses_boundary = band_crosses;
     return out;

@@ -215,8 +215,13 @@ class SparsePredictor
   private:
     struct Samples; ///< canonicalized (sorted, deduplicated) samples
 
-    Samples canonicalize(std::span<const size_t> indices,
-                         std::span<const double> runtimes) const;
+    /**
+     * Check and canonicalize the samples into this thread's sample
+     * set, which the returned reference names until the thread's next
+     * call.
+     */
+    const Samples &canonicalize(std::span<const size_t> indices,
+                                std::span<const double> runtimes) const;
 
     /**
      * Backfit the log-additive model under several weightings of the
@@ -224,13 +229,17 @@ class SparsePredictor
      * predict every grid point of each (measured points pass
      * through).  With `point`, lane 0 is the unit-weight point
      * estimate; `members` bootstrap lanes follow, resampled from
-     * streams salted by `kernel_name`.
+     * streams salted by `kernel_name`.  Each fitted value must be
+     * finite and positive, checked as it is written.
      *
-     * @return one surface per lane, in lane order.
+     * @return every lane's surface in one buffer of this thread,
+     *         lane by lane: lane l's runtime at flat index f is
+     *         element l * space().size() + f.  Valid until the
+     *         thread's next fit.
      */
-    std::vector<std::vector<double>> fitLanes(
-        const Samples &samples, const std::string &kernel_name,
-        bool point, size_t members) const;
+    std::span<const double> fitLanes(const Samples &samples,
+                                     const std::string &kernel_name,
+                                     bool point, size_t members) const;
 
     /** Stratified LHS stream of flat indices (may repeat). */
     std::vector<size_t> lhsCandidates(size_t count, Rng &rng) const;

@@ -102,24 +102,6 @@ ScalingSurface::memCurveAtMax() const
     return memCurve(space_.numCu() - 1, space_.numCoreClk() - 1);
 }
 
-void
-ScalingSurface::curvesAtMax(std::vector<double> &cu, std::vector<double> &freq,
-                            std::vector<double> &mem) const
-{
-    const size_t max_cu = space_.numCu() - 1;
-    const size_t max_core = space_.numCoreClk() - 1;
-    const size_t max_mem = space_.numMemClk() - 1;
-    cu.resize(space_.numCu());
-    for (size_t i = 0; i < cu.size(); ++i)
-        cu[i] = perfAt(i, max_core, max_mem);
-    freq.resize(space_.numCoreClk());
-    for (size_t i = 0; i < freq.size(); ++i)
-        freq[i] = perfAt(max_cu, i, max_mem);
-    mem.resize(space_.numMemClk());
-    for (size_t i = 0; i < mem.size(); ++i)
-        mem[i] = perfAt(max_cu, max_core, i);
-}
-
 double
 ScalingSurface::bestPerf() const
 {
@@ -133,14 +115,14 @@ ScalingSurface::worstPerf() const
 }
 
 double
-ScalingSurface::perfRange() const
+perfRange(std::span<const double> rt)
 {
+    panic_if(rt.empty(), "perf range of no runtimes");
     // bestPerf() / worstPerf(), with both extremes from one pass.
     // Eight independent min and max chains instead of one dependent
     // chain; min and max are exact, so the order they combine in
     // cannot change the result.
     constexpr size_t kLanes = 8;
-    const std::vector<double> &rt = runtimes();
     std::array<double, kLanes> lo;
     std::array<double, kLanes> hi;
     lo.fill(rt[0]);
@@ -162,9 +144,9 @@ ScalingSurface::perfRange() const
 }
 
 double
-ScalingSurface::robustPerfRange(double tail_percent) const
+robustPerfRange(std::span<const double> rt, double tail_percent)
 {
-    const std::vector<double> &rt = runtimes();
+    panic_if(rt.empty(), "robust perf range of no runtimes");
     const size_t n = rt.size();
     const PercentileRank lo = percentileRank(n, tail_percent);
     const PercentileRank hi = percentileRank(n, 100.0 - tail_percent);
@@ -223,6 +205,18 @@ ScalingSurface::robustPerfRange(double tail_percent) const
     }
     return percentile(rt, 100.0 - tail_percent) /
            percentile(rt, tail_percent);
+}
+
+double
+ScalingSurface::perfRange() const
+{
+    return scaling::perfRange(runtimes());
+}
+
+double
+ScalingSurface::robustPerfRange(double tail_percent) const
+{
+    return scaling::robustPerfRange(runtimes(), tail_percent);
 }
 
 std::vector<double>

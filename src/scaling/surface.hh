@@ -18,6 +18,7 @@
 #define GPUSCALE_SCALING_SURFACE_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,14 +84,6 @@ class ScalingSurface
     /** Memory curve at maximum CUs and core clock. */
     std::vector<double> memCurveAtMax() const;
 
-    /**
-     * The three curves above written into caller-owned vectors, which
-     * are resized and keep their capacity: the classifier's
-     * allocation-free form.
-     */
-    void curvesAtMax(std::vector<double> &cu, std::vector<double> &freq,
-                     std::vector<double> &mem) const;
-
     /** Best performance over the whole grid. */
     double bestPerf() const;
 
@@ -119,6 +112,22 @@ class ScalingSurface
     ConfigSpace space_;
     std::shared_ptr<const std::vector<double>> runtimes_;
 };
+
+//
+// The range statistics the classifier reads, on a bare runtime span.
+// ScalingSurface::perfRange() and robustPerfRange() delegate here, so
+// a surface and a span of the same runtimes give bitwise the same
+// answers; the sparse predictor classifies its ensemble lanes this way
+// without building a surface per lane.  The runtimes must be finite
+// and positive, which is the caller's check.
+//
+
+/** ScalingSurface::perfRange() of a non-empty span. */
+double perfRange(std::span<const double> runtimes);
+
+/** ScalingSurface::robustPerfRange() of a non-empty span. */
+double robustPerfRange(std::span<const double> runtimes,
+                       double tail_percent = 2.0);
 
 } // namespace scaling
 } // namespace gpuscale

@@ -45,20 +45,55 @@ struct CurveBuffers {
     std::vector<double> mem_perf;
 };
 
+/**
+ * The curves ScalingSurface::cuCurveAtMax(), freqCurveAtMax() and
+ * memCurveAtMax() return, from a runtime span into `buffers`.
+ */
+void
+curvesAtMax(const ConfigSpace &space, std::span<const double> runtimes,
+            CurveBuffers &buffers)
+{
+    const size_t max_cu = space.numCu() - 1;
+    const size_t max_core = space.numCoreClk() - 1;
+    const size_t max_mem = space.numMemClk() - 1;
+    auto perfAt = [&](size_t cu_i, size_t core_i, size_t mem_i) {
+        return 1.0 / runtimes[space.flatten(cu_i, core_i, mem_i)];
+    };
+    buffers.cu_perf.resize(space.numCu());
+    for (size_t i = 0; i < space.numCu(); ++i)
+        buffers.cu_perf[i] = perfAt(i, max_core, max_mem);
+    buffers.freq_perf.resize(space.numCoreClk());
+    for (size_t i = 0; i < space.numCoreClk(); ++i)
+        buffers.freq_perf[i] = perfAt(max_cu, i, max_mem);
+    buffers.mem_perf.resize(space.numMemClk());
+    for (size_t i = 0; i < space.numMemClk(); ++i)
+        buffers.mem_perf[i] = perfAt(max_cu, max_core, i);
+}
+
 } // namespace
 
 KernelClassification
 classifySurface(const ScalingSurface &surface,
                 const TaxonomyParams &params)
 {
-    const ConfigSpace &space = surface.space();
-
-    KernelClassification out;
+    KernelClassification out =
+        classifyRuntimes(surface.space(), surface.runtimes(), params);
     out.kernel = surface.kernelName();
+    return out;
+}
+
+KernelClassification
+classifyRuntimes(const ConfigSpace &space, std::span<const double> runtimes,
+                 const TaxonomyParams &params)
+{
+    panic_if(runtimes.size() != space.size(),
+             "classifying %zu runtimes over a %zu-point grid",
+             runtimes.size(), space.size());
+    KernelClassification out;
 
     thread_local CurveBuffers buffers;
     buffers.cu_knob.assign(space.cuValues().begin(), space.cuValues().end());
-    surface.curvesAtMax(buffers.cu_perf, buffers.freq_perf, buffers.mem_perf);
+    curvesAtMax(space, runtimes, buffers);
     const std::vector<double> &cu_knob = buffers.cu_knob;
     const std::vector<double> &cu_perf = buffers.cu_perf;
     const std::vector<double> &freq_perf = buffers.freq_perf;
@@ -67,10 +102,10 @@ classifySurface(const ScalingSurface &surface,
     out.cu = classifyCurve(cu_knob, cu_perf, params.shape);
     out.freq = classifyCurve(space.coreClks(), freq_perf, params.shape);
     out.mem = classifyCurve(space.memClks(), mem_perf, params.shape);
-    out.perf_range = surface.perfRange();
+    out.perf_range = perfRange(runtimes);
     // The insensitivity test uses the robust range so sample-noise
     // tails cannot fake sensitivity on measured data.
-    const double robust_range = surface.robustPerfRange();
+    const double robust_range = robustPerfRange(runtimes);
 
     // CUs needed for 90% of max-CU performance.
     const double peak = *std::max_element(cu_perf.begin(), cu_perf.end());

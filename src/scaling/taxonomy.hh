@@ -12,6 +12,7 @@
 #ifndef GPUSCALE_SCALING_TAXONOMY_HH
 #define GPUSCALE_SCALING_TAXONOMY_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,17 @@ struct KernelClassification {
  */
 KernelClassification classifySurface(
     const ScalingSurface &surface,
+    const TaxonomyParams &params = TaxonomyParams{});
+
+/**
+ * The same decision tree on a bare runtime span in
+ * ConfigSpace::flatten order, with the kernel name left empty:
+ * classifySurface() is this plus the surface's name.  The runtimes
+ * must be finite and positive (ScalingSurface's check; the sparse fit
+ * checks its lanes as it writes them).
+ */
+KernelClassification classifyRuntimes(
+    const ConfigSpace &space, std::span<const double> runtimes,
     const TaxonomyParams &params = TaxonomyParams{});
 
 /** Classify a batch of surfaces. */

@@ -15,8 +15,10 @@
  *    most two allocations per kernel: the result vector, plus the
  *    Amdahl buffer of kernels with a serial phase;
  *  - a cold 10%-budget LHS runSparseCensus makes at most
- *    kSparseAllocsPerKernel allocations per kernel: plan, cache,
- *    lockstep fit and the 17 surfaces each reconstruction classifies.
+ *    kSparseAllocsPerKernel allocations per kernel: the cache entry
+ *    of its measured plan and the reconstruction it returns.  The
+ *    plan, the fit's lanes and the buffers its 17 classifications
+ *    read are per-thread and allocate nothing once warm.
  *
  * The counter sees every thread, so pool workers count too.  The
  * budgets hold under the sanitizers as well: they intercept malloc,
@@ -82,8 +84,17 @@ constexpr double kAllocsPerKernel = 7.3;
 /** Allocations per kernel the bare batched model may make. */
 constexpr double kModelAllocsPerKernel = 2.0;
 
-/** Allocations per kernel a cold sparse census may make. */
-constexpr uint64_t kSparseAllocsPerKernel = 100;
+/**
+ * Allocations per kernel a cold sparse census may make: the measured
+ * figure plus one.  A cold 10%-budget census on a 4-core host made
+ * 3,531 allocations, 13.2 per kernel: thirteen per kernel (the cache
+ * key; the packed plan and its shared-pointer control block; the
+ * cache's staging buckets, node and key copy; the point surface's
+ * runtime vector, control block and name; `lower` and `upper`; the
+ * classification's name and the census's copy of it) and a few dozen
+ * per census.
+ */
+constexpr double kSparseAllocsPerKernel = 14.2;
 
 uint64_t
 allocations()
@@ -144,7 +155,8 @@ TEST(CensusAllocsTest, ColdSparseCensusStaysWithinBudget)
     const uint64_t made = allocations() - before;
     ASSERT_EQ(census.reconstructions.size(), kernels);
 
-    const uint64_t budget = kSparseAllocsPerKernel * kernels;
+    const auto budget = static_cast<uint64_t>(
+        kSparseAllocsPerKernel * static_cast<double>(kernels));
     EXPECT_LE(made, budget)
         << "a cold sparse census made " << made << " allocations ("
         << static_cast<double>(made) / static_cast<double>(kernels)

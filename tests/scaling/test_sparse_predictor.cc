@@ -15,9 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "base/logging.hh"
 #include "base/random.hh"
@@ -304,6 +307,53 @@ TEST(SparsePredictorTest, ZooReconstructionDigestsArePinned)
     EXPECT_EQ(zooDigest(0, SamplerKind::Active, 16), 0x7263bb245d2cf51aull);
 }
 
+TEST(SparsePredictorTest, ReusedScratchLeaksNoState)
+{
+    // The fit's lanes, the sample set and the band buffers live in
+    // per-thread buffers that keep their capacity between calls.  A
+    // reconstruction repeated after fits of other shapes, on one
+    // thread, must come out bitwise the same: the buffers shrink (the
+    // 27-point grid, one lane), then grow (the paper grid, 4 lanes,
+    // then 13).  A fresh thread starts with empty buffers; the calls
+    // between must answer as they do on this thread.
+    const gpu::AnalyticModel model;
+    const auto paper = ConfigSpace::paperGrid();
+    SparseFitOptions four;
+    four.ensemble = 4;
+    const SparsePredictor a(paper);
+    const SparsePredictor b(ConfigSpace::testGrid(), four);
+    const SparsePredictor c(paper, four);
+
+    const auto *kernel = workloads::WorkloadRegistry::instance().findKernel(
+        "rodinia/hotspot/calculate_temp");
+    ASSERT_NE(kernel, nullptr);
+    const auto dense_a = harness::sweepKernel(model, *kernel, paper);
+    const auto plan_a = a.lhsPlan(89);
+    const auto runtimes_a = runtimesAt(dense_a, plan_a);
+    const auto dense_b = denseSurface("rodinia/bfs/kernel1");
+    const auto plan_b = b.lhsPlan(12);
+    const auto runtimes_b = runtimesAt(dense_b, plan_b);
+    const auto measure_c = [&](size_t flat) {
+        return dense_a.runtimes()[flat];
+    };
+
+    uint64_t first = 0, second = 0;
+    std::vector<double> fit_b;
+    std::vector<size_t> active_c;
+    std::thread worker([&] {
+        const uint64_t h = 0xcbf29ce484222325ull;
+        first = digestInto(h, a.reconstruct(kernel->name, plan_a, runtimes_a));
+        fit_b = b.fitSurface(plan_b, runtimes_b);
+        active_c = c.activePlan(40, measure_c);
+        second =
+            digestInto(h, a.reconstruct(kernel->name, plan_a, runtimes_a));
+    });
+    worker.join();
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(fit_b, b.fitSurface(plan_b, runtimes_b));
+    EXPECT_EQ(active_c, c.activePlan(40, measure_c));
+}
+
 TEST(SparsePredictorTest, SamplerKindNamesRoundTrip)
 {
     SamplerKind kind = SamplerKind::Active;
@@ -375,6 +425,45 @@ TEST_F(SparsePredictorFatalTest, RejectsBadBudgetsAndSamples)
     const std::vector<double> conflicting{1.0, 2.0};
     EXPECT_THROW(predictor.fitSurface(dup_idx, conflicting),
                  std::runtime_error);
+
+    // Finite, positive samples whose log-additive fit leaves double's
+    // range: extrapolated across the CU axis, exp() overflows to inf
+    // or underflows to 0 at 192 of the 891 points.  All three entry
+    // points refuse them with the fit's own message, instead of
+    // returning them or taking their log.
+    const SparsePredictor paper(ConfigSpace::paperGrid());
+    const auto wide = [&](size_t flat) {
+        const auto axis = paper.space().unflatten(flat);
+        const double e = 200.0 * (10.0 - static_cast<double>(axis.cu)) +
+                         60.0 * static_cast<double>(axis.core) -
+                         60.0 * static_cast<double>(axis.mem) - 300.0;
+        return std::exp(std::clamp(e, -700.0, 700.0));
+    };
+    const auto wide_plan = paper.lhsPlan(89);
+    std::vector<double> wide_runtimes;
+    for (const size_t flat : wide_plan)
+        wide_runtimes.push_back(wide(flat));
+    const auto failure = [](const auto &call) -> std::string {
+        try {
+            call();
+        } catch (const std::runtime_error &e) {
+            return e.what();
+        }
+        return "no error";
+    };
+    const std::string errors[] = {
+        failure([&] { paper.fitSurface(wide_plan, wide_runtimes); }),
+        failure([&] {
+            paper.reconstruct("synthetic/wide/k", wide_plan, wide_runtimes);
+        }),
+        failure([&] { paper.activePlan(89, wide); }),
+    };
+    for (const std::string &error : errors) {
+        EXPECT_NE(error.find("fitted runtime"), std::string::npos) << error;
+        EXPECT_NE(error.find("is not finite and positive"),
+                  std::string::npos)
+            << error;
+    }
 }
 
 } // namespace
