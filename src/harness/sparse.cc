@@ -135,7 +135,8 @@ unpackSamples(const std::vector<double> &packed, size_t grid_size,
  * reconstruct its surface.  The measured (index, runtime) set is
  * cached under the full-sweep key plus a plan suffix, so repeated
  * sparse runs — and the accuracy bench's budget curves — only pay
- * for the model once per (kernel, plan).
+ * for the model once per (kernel, plan).  A miss is staged into
+ * `staged`, which the caller inserts.
  */
 scaling::SparseReconstruction
 sparseSweepKernel(const gpu::PerfModel &model,
@@ -143,7 +144,8 @@ sparseSweepKernel(const gpu::PerfModel &model,
                   const scaling::SparsePredictor &predictor,
                   const CensusInvariants &invariants,
                   const SparseCensusOptions &options,
-                  const scaling::TaxonomyParams &params)
+                  const scaling::TaxonomyParams &params,
+                  SweepCache::Batch &staged)
 {
     SparseMetrics &metrics = SparseMetrics::get();
     GPUSCALE_TRACE_SCOPE("sparse/", kernel.name);
@@ -152,7 +154,7 @@ sparseSweepKernel(const gpu::PerfModel &model,
     faultPoint("sweep.kernel");
 
     const scaling::ConfigSpace &space = predictor.space();
-    const std::string key = sparseKeyFor(invariants, kernel);
+    std::string key = sparseKeyFor(invariants, kernel);
 
     // The plan and its runtimes, per thread so their capacity lasts.
     thread_local std::vector<size_t> indices;
@@ -173,25 +175,28 @@ sparseSweepKernel(const gpu::PerfModel &model,
         // The scalar estimate() is bitwise-identical to the batched
         // grid walk (the differential tests assert it), so sampled
         // points agree exactly with what a dense sweep would report.
+        // Each configuration is measured once, in plan order.
+        runtimes.clear();
         const auto measureOne = [&](size_t flat) {
-            return model.estimate(kernel, space.at(flat)).time_s;
+            runtimes.push_back(
+                model.estimate(kernel, space.at(flat)).time_s);
+            return runtimes.back();
         };
         switch (options.sampler) {
           case scaling::SamplerKind::Lhs:
             indices.assign(invariants.lhs_plan.begin(),
                            invariants.lhs_plan.end());
+            for (const size_t flat : indices)
+                measureOne(flat);
             break;
           case scaling::SamplerKind::Active:
             indices = predictor.activePlan(options.samples, measureOne);
             break;
         }
-        runtimes.clear();
-        for (const size_t flat : indices)
-            runtimes.push_back(measureOne(flat));
         if (!key.empty()) {
-            SweepCache::instance().insertShared(
-                key, std::make_shared<const std::vector<double>>(
-                         packSamples(indices, runtimes)));
+            SweepCache::stage(staged, std::move(key),
+                              std::make_shared<const std::vector<double>>(
+                                  packSamples(indices, runtimes)));
         }
         debuglog("sparse %s: %zu samples", kernel.name.c_str(),
                  indices.size());
@@ -256,16 +261,29 @@ runSparseCensus(const gpu::PerfModel &model,
 
     std::vector<std::optional<scaling::SparseReconstruction>> slots(
         kernels.size());
+    SweepCache &cache = SweepCache::instance();
     parallelFor(num_shards, [&](size_t shard) {
         const size_t n = kernels.size();
         const size_t begin = shard * n / num_shards;
         const size_t end = (shard + 1) * n / num_shards;
-        for (size_t k = begin; k < end; ++k) {
-            slots[k] = sparseSweepKernel(model, *kernels[k], predictor,
-                                         invariants, options, params);
-            if (progress != nullptr)
-                progress->tick();
+        // As in sweepKernels(): the shard's measured plans, staged
+        // outside the cache lock and inserted in one batch however
+        // the shard ends.
+        SweepCache::Batch staged;
+        staged.reserve(end - begin);
+        try {
+            for (size_t k = begin; k < end; ++k) {
+                slots[k] = sparseSweepKernel(model, *kernels[k], predictor,
+                                             invariants, options, params,
+                                             staged);
+                if (progress != nullptr)
+                    progress->tick();
+            }
+        } catch (...) {
+            cache.insertBatch(staged);
+            throw;
         }
+        cache.insertBatch(staged);
     });
 
     census.reconstructions.reserve(kernels.size());

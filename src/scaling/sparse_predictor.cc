@@ -213,6 +213,34 @@ sweepLanes(LaneAxis &axis, const LaneAxis &other1, const LaneAxis &other2,
         scratch.mu[lane] += shift[lane];
 }
 
+/**
+ * Whether `holds(flat)` is true at every point of the three curves
+ * classifyRuntimes() reads: the CU curve at max clocks, and the core-
+ * and memory-clock curves at max CUs and the other clock's max.  The
+ * max corner lies on all three and is visited three times.
+ */
+bool
+onEveryCurvePoint(const ConfigSpace &space,
+                  const std::function<bool(size_t)> &holds)
+{
+    const size_t cu_hi = space.numCu() - 1;
+    const size_t core_hi = space.numCoreClk() - 1;
+    const size_t mem_hi = space.numMemClk() - 1;
+    for (size_t i = 0; i < space.numCu(); ++i) {
+        if (!holds(space.flatten(i, core_hi, mem_hi)))
+            return false;
+    }
+    for (size_t j = 0; j < space.numCoreClk(); ++j) {
+        if (!holds(space.flatten(cu_hi, j, mem_hi)))
+            return false;
+    }
+    for (size_t k = 0; k < space.numMemClk(); ++k) {
+        if (!holds(space.flatten(cu_hi, core_hi, k)))
+            return false;
+    }
+    return true;
+}
+
 } // namespace
 
 std::string
@@ -315,19 +343,11 @@ SparsePredictor::canonicalize(std::span<const size_t> indices,
 std::vector<size_t>
 SparsePredictor::anchorConfigs() const
 {
-    const size_t cu_hi = space_.numCu() - 1;
-    const size_t core_hi = space_.numCoreClk() - 1;
-    const size_t mem_hi = space_.numMemClk() - 1;
-
     std::vector<size_t> anchors;
-    // The three curves classifySurface() reads: cuCurveAtMax,
-    // freqCurveAtMax, memCurveAtMax.
-    for (size_t i = 0; i < space_.numCu(); ++i)
-        anchors.push_back(space_.flatten(i, core_hi, mem_hi));
-    for (size_t j = 0; j < space_.numCoreClk(); ++j)
-        anchors.push_back(space_.flatten(cu_hi, j, mem_hi));
-    for (size_t k = 0; k < space_.numMemClk(); ++k)
-        anchors.push_back(space_.flatten(cu_hi, core_hi, k));
+    onEveryCurvePoint(space_, [&](size_t flat) {
+        anchors.push_back(flat);
+        return true;
+    });
     // The min corner pins the whole-grid range the LaunchBound test
     // reads; cheap insurance for one extra point.
     anchors.push_back(space_.flatten(0, 0, 0));
@@ -600,6 +620,37 @@ SparsePredictor::activePlan(
     return plan;
 }
 
+bool
+SparsePredictor::envelopeSettlesVotes(const SparseReconstruction &rec,
+                                      const TaxonomyParams &params) const
+{
+    // Every member and band lies pointwise between lower and upper.
+    // Where the two meet on the three curves classifyRuntimes() reads
+    // (always, for plans that measure the anchors), each member and
+    // band has the estimate's curves, so its curve verdicts, and it
+    // can differ in class only through the LaunchBound test.
+    const bool pinned = onEveryCurvePoint(space_, [&](size_t flat) {
+        return rec.lower[flat] == rec.upper[flat];
+    });
+    if (!pinned)
+        return false;
+    if (rec.cls.cu.shape == CurveShape::Adverse)
+        return true; // CuAdverse, whatever the range
+
+    // That test reads robustPerfRange(), high / low of robustTails().
+    // Order statistics keep the pointwise order, percentile()'s
+    // interpolation weighs them with non-negative weights, and IEEE
+    // rounding keeps products, sums and a positive division monotone,
+    // so each member's and band's range lies in [r_min, r_max], the
+    // estimate's too.  No tolerance: the bound is exact.
+    const RobustTails lower = robustTails(rec.lower);
+    const RobustTails upper = robustTails(rec.upper);
+    const double r_min = lower.high / upper.low;
+    const double r_max = upper.high / lower.low;
+    return r_max < params.insensitive_range ||
+           r_min >= params.insensitive_range;
+}
+
 SparseReconstruction
 SparsePredictor::reconstruct(const std::string &kernel_name,
                              std::span<const size_t> indices,
@@ -641,6 +692,10 @@ SparsePredictor::reconstruct(const std::string &kernel_name,
         samples.size(),
     };
     out.cls = classifySurface(out.surface, params);
+    // Most kernels' votes follow from the envelope alone; only the
+    // rest classify their members and bands.
+    if (envelopeSettlesVotes(out, params))
+        return out;
 
     size_t votes = 0;
     bool band_crosses = false;

@@ -241,6 +241,14 @@ class SparsePredictor
                                      const std::string &kernel_name,
                                      bool point, size_t members) const;
 
+    /**
+     * Whether `rec`'s envelope proves that every ensemble member and
+     * band vector classifies as `rec.cls`, so that confidence 1.0 and
+     * no band flag follow without classifying any of them.
+     */
+    bool envelopeSettlesVotes(const SparseReconstruction &rec,
+                              const TaxonomyParams &params) const;
+
     /** Stratified LHS stream of flat indices (may repeat). */
     std::vector<size_t> lhsCandidates(size_t count, Rng &rng) const;
 

@@ -143,10 +143,10 @@ perfRange(std::span<const double> rt)
     return (1.0 / fastest) / (1.0 / slowest);
 }
 
-double
-robustPerfRange(std::span<const double> rt, double tail_percent)
+RobustTails
+robustTails(std::span<const double> rt, double tail_percent)
 {
-    panic_if(rt.empty(), "robust perf range of no runtimes");
+    panic_if(rt.empty(), "robust tails of no runtimes");
     const size_t n = rt.size();
     const PercentileRank lo = percentileRank(n, tail_percent);
     const PercentileRank hi = percentileRank(n, 100.0 - tail_percent);
@@ -200,11 +200,18 @@ robustPerfRange(std::span<const double> rt, double tail_percent)
             std::nth_element(w + back, w + hi.lo, work.end());
             const double high = hi.between(
                 w[hi.lo], *std::min_element(w + hi.hi, work.end()));
-            return high / low;
+            return {low, high};
         }
     }
-    return percentile(rt, 100.0 - tail_percent) /
-           percentile(rt, tail_percent);
+    return {percentile(rt, tail_percent),
+            percentile(rt, 100.0 - tail_percent)};
+}
+
+double
+robustPerfRange(std::span<const double> rt, double tail_percent)
+{
+    const RobustTails tails = robustTails(rt, tail_percent);
+    return tails.high / tails.low;
 }
 
 double

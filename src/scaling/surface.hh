@@ -125,7 +125,24 @@ class ScalingSurface
 /** ScalingSurface::perfRange() of a non-empty span. */
 double perfRange(std::span<const double> runtimes);
 
-/** ScalingSurface::robustPerfRange() of a non-empty span. */
+/** The two percentiles robustPerfRange() divides. */
+struct RobustTails {
+    double low;  ///< percentile(runtimes, tail_percent)
+    double high; ///< percentile(runtimes, 100 - tail_percent)
+};
+
+/**
+ * Both tails of a non-empty span, bitwise the two percentile() calls
+ * they stand for.  Each tail is monotone in the runtimes: raising any
+ * runtime never lowers either tail.
+ */
+RobustTails robustTails(std::span<const double> runtimes,
+                        double tail_percent = 2.0);
+
+/**
+ * ScalingSurface::robustPerfRange() of a non-empty span: high / low
+ * of its robustTails().
+ */
 double robustPerfRange(std::span<const double> runtimes,
                        double tail_percent = 2.0);
 

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "gpu/analytic_model.hh"
 #include "harness/noise.hh"
 #include "harness/parallel.hh"
+#include "harness/sparse.hh"
 #include "harness/sweep.hh"
 #include "harness/sweep_cache.hh"
 #include "obs/metrics.hh"
@@ -434,6 +436,29 @@ TEST_F(SweepCacheTest, ConcurrentSweepsHitAndMissCoherently)
     EXPECT_GE(hits, subset.size());
 }
 
+/**
+ * Run `census` inside a pool worker with sweep.kernel armed to throw
+ * on a seeded draw; true when it threw.
+ */
+bool
+interruptedInPoolWorker(const std::function<void()> &census)
+{
+    FaultInjector::instance().arm(
+        {{"sweep.kernel", 0.05, FaultKind::Exception, 0.0}}, 5);
+    std::atomic<bool> threw{false};
+    harness::parallelFor(2, [&](size_t i) {
+        if (i != 0)
+            return;
+        try {
+            census();
+        } catch (const FaultInjectedError &) {
+            threw = true;
+        }
+    }, 2);
+    FaultInjector::instance().disarm();
+    return threw.load();
+}
+
 TEST_F(SweepCacheTest, InterruptedSweepKeepsEveryKernelItComputed)
 {
     // A shard stages its misses and inserts them when it ends.  An
@@ -453,20 +478,8 @@ TEST_F(SweepCacheTest, InterruptedSweepKeepsEveryKernelItComputed)
     // count from 4 to 64 that kernel sits inside its shard, after
     // kernels the shard computed and staged.
     const uint64_t estimates0 = counterValue("sweep.estimates.count");
-    FaultInjector::instance().arm(
-        {{"sweep.kernel", 0.05, FaultKind::Exception, 0.0}}, 5);
-    std::atomic<bool> threw{false};
-    harness::parallelFor(2, [&](size_t i) {
-        if (i != 0)
-            return;
-        try {
-            harness::sweepKernels(model, kernels, space);
-        } catch (const FaultInjectedError &) {
-            threw = true;
-        }
-    }, 2);
-    FaultInjector::instance().disarm();
-    ASSERT_TRUE(threw.load());
+    ASSERT_TRUE(interruptedInPoolWorker(
+        [&] { harness::sweepKernels(model, kernels, space); }));
 
     const uint64_t evaluated =
         (counterValue("sweep.estimates.count") - estimates0) / space.size();
@@ -481,6 +494,40 @@ TEST_F(SweepCacheTest, InterruptedSweepKeepsEveryKernelItComputed)
     EXPECT_EQ(counterValue("sweep.cache.hits") - hits0, evaluated);
     EXPECT_EQ(counterValue("sweep.estimates.count") - retry0,
               (kernels.size() - evaluated) * space.size());
+}
+
+TEST_F(SweepCacheTest, InterruptedSparseCensusKeepsEveryPlanItMeasured)
+{
+    // The sparse census stages its measured plans per shard in the
+    // same way, and an injected sweep.kernel exception must not lose
+    // the plans its shard measured before the throw.  It runs inside a
+    // pool worker for the reason given above, and the same seeded
+    // draw throws at the same kernel.
+    auto &cache = harness::SweepCache::instance();
+    const gpu::AnalyticModel model;
+    const auto space = scaling::ConfigSpace::testGrid();
+    const size_t kernels =
+        workloads::WorkloadRegistry::instance().allKernels().size();
+    harness::SparseCensusOptions options;
+    options.samples = 12;
+
+    const uint64_t samples0 = counterValue("sparse.samples.count");
+    ASSERT_TRUE(interruptedInPoolWorker(
+        [&] { harness::runSparseCensus(model, space, options); }));
+
+    const uint64_t measured =
+        (counterValue("sparse.samples.count") - samples0) / options.samples;
+    ASSERT_GT(measured, 0u);
+    ASSERT_LT(measured, kernels);
+    EXPECT_EQ(cache.entries(), measured);
+
+    const uint64_t hits0 = counterValue("sweep.cache.hits");
+    const uint64_t retry0 = counterValue("model.analytic.estimates");
+    const auto census = harness::runSparseCensus(model, space, options);
+    ASSERT_EQ(census.reconstructions.size(), kernels);
+    EXPECT_EQ(counterValue("sweep.cache.hits") - hits0, measured);
+    EXPECT_EQ(counterValue("model.analytic.estimates") - retry0,
+              (kernels - measured) * options.samples);
 }
 
 TEST_F(SweepCacheTest, ConcurrentMixedModelsNeverCrossContaminate)

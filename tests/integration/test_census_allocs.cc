@@ -17,8 +17,8 @@
  *  - a cold 10%-budget LHS runSparseCensus makes at most
  *    kSparseAllocsPerKernel allocations per kernel: the cache entry
  *    of its measured plan and the reconstruction it returns.  The
- *    plan, the fit's lanes and the buffers its 17 classifications
- *    read are per-thread and allocate nothing once warm.
+ *    plan, the fit's lanes and the buffers its classifications read
+ *    are per-thread and allocate nothing once warm.
  *
  * The counter sees every thread, so pool workers count too.  The
  * budgets hold under the sanitizers as well: they intercept malloc,
@@ -87,14 +87,14 @@ constexpr double kModelAllocsPerKernel = 2.0;
 /**
  * Allocations per kernel a cold sparse census may make: the measured
  * figure plus one.  A cold 10%-budget census on a 4-core host made
- * 3,531 allocations, 13.2 per kernel: thirteen per kernel (the cache
- * key; the packed plan and its shared-pointer control block; the
- * cache's staging buckets, node and key copy; the point surface's
+ * 3,013 allocations, 11.3 per kernel: eleven per kernel (the cache
+ * key, which moves into its cache node; the packed plan and its
+ * shared-pointer control block; the cache node; the point surface's
  * runtime vector, control block and name; `lower` and `upper`; the
  * classification's name and the census's copy of it) and a few dozen
- * per census.
+ * per census (each shard's staging buckets among them).
  */
-constexpr double kSparseAllocsPerKernel = 14.2;
+constexpr double kSparseAllocsPerKernel = 12.3;
 
 uint64_t
 allocations()

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -26,6 +27,8 @@
 #include "gpu/analytic_model.hh"
 #include "harness/experiment.hh"
 #include "harness/sparse.hh"
+#include "harness/sweep_cache.hh"
+#include "obs/metrics.hh"
 #include "scaling/taxonomy.hh"
 
 namespace gpuscale {
@@ -106,6 +109,28 @@ TEST(SparseAccuracyTest, LhsMeetsGateAtTenPercent)
 TEST(SparseAccuracyTest, ActiveMeetsGateAtTenPercent)
 {
     checkGate(scaling::SamplerKind::Active);
+}
+
+TEST(SparseAccuracyTest, ActiveSamplerMeasuresEachPlannedConfigOnce)
+{
+    // activePlan() measures each configuration it chooses, once, in
+    // plan order; the census keeps those runtimes instead of measuring
+    // the plan again.  From a cleared cache every kernel's plan is a
+    // miss, so the model runs exactly once per sample.
+    const auto counter = [](const char *name) {
+        return obs::Registry::instance().counter(name).value();
+    };
+    harness::SweepCache::instance().clear();
+    harness::SparseCensusOptions options;
+    options.samples = 12;
+    options.sampler = scaling::SamplerKind::Active;
+    const uint64_t estimates0 = counter("model.analytic.estimates");
+    const uint64_t samples0 = counter("sparse.samples.count");
+    const auto sparse = harness::runSparseCensus(
+        gpu::AnalyticModel{}, scaling::ConfigSpace::testGrid(), options);
+    const uint64_t samples = counter("sparse.samples.count") - samples0;
+    EXPECT_EQ(samples, sparse.reconstructions.size() * options.samples);
+    EXPECT_EQ(counter("model.analytic.estimates") - estimates0, samples);
 }
 
 TEST(SparseAccuracyTest, AgreementStatisticIsExactOnSelf)

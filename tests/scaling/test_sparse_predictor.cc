@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -266,34 +267,47 @@ digestInto(uint64_t h, const SparseReconstruction &rec)
 }
 
 /**
- * Digest of the 89-sample (10%) paper-grid reconstruction of every
- * `stride`-th zoo kernel, LHS or active plan.
+ * Digest of the paper-grid reconstruction of every `stride`-th zoo
+ * kernel from the plan `planFor` picks for its dense surface.
  */
 uint64_t
-zooDigest(uint64_t seed, SamplerKind sampler, size_t stride)
+digestZoo(const SparsePredictor &predictor, size_t stride,
+          const std::function<std::vector<size_t>(const ScalingSurface &)>
+              &planFor)
 {
     const gpu::AnalyticModel model;
-    const auto space = ConfigSpace::paperGrid();
-    SparseFitOptions options;
-    options.seed = seed;
-    const SparsePredictor predictor(space, options);
-    const auto lhs = predictor.lhsPlan(89);
-
     const auto kernels =
         workloads::WorkloadRegistry::instance().allKernels();
     uint64_t h = 0xcbf29ce484222325ull;
     for (size_t k = 0; k < kernels.size(); k += stride) {
-        const auto dense = harness::sweepKernel(model, *kernels[k], space);
-        const auto plan =
-            sampler == SamplerKind::Lhs
-                ? lhs
-                : predictor.activePlan(89, [&](size_t flat) {
-                      return dense.runtimes()[flat];
-                  });
+        const auto dense =
+            harness::sweepKernel(model, *kernels[k], predictor.space());
+        const auto plan = planFor(dense);
         h = digestInto(h, predictor.reconstruct(kernels[k]->name, plan,
                                                 runtimesAt(dense, plan)));
     }
     return h;
+}
+
+/**
+ * Digest of the `budget`-sample paper-grid reconstruction of every
+ * `stride`-th zoo kernel, LHS or active plan.
+ */
+uint64_t
+zooDigest(uint64_t seed, SamplerKind sampler, size_t stride,
+          size_t budget = 89)
+{
+    SparseFitOptions options;
+    options.seed = seed;
+    const SparsePredictor predictor(ConfigSpace::paperGrid(), options);
+    const auto lhs = predictor.lhsPlan(budget);
+    return digestZoo(predictor, stride, [&](const ScalingSurface &dense) {
+        return sampler == SamplerKind::Lhs
+                   ? lhs
+                   : predictor.activePlan(budget, [&](size_t flat) {
+                         return dense.runtimes()[flat];
+                     });
+    });
 }
 
 TEST(SparsePredictorTest, ZooReconstructionDigestsArePinned)
@@ -305,6 +319,30 @@ TEST(SparsePredictorTest, ZooReconstructionDigestsArePinned)
     EXPECT_EQ(zooDigest(0, SamplerKind::Lhs, 1), 0xb20122e2b9a64f27ull);
     EXPECT_EQ(zooDigest(3, SamplerKind::Lhs, 1), 0x389a556a4ba12926ull);
     EXPECT_EQ(zooDigest(0, SamplerKind::Active, 16), 0x7263bb245d2cf51aull);
+    // Smaller budgets leave more kernels whose ensemble range
+    // straddles the LaunchBound threshold, so more of them run the
+    // full vote loop: 16 at 30 samples (seed 1), 10 at 45 (seed 2).
+    EXPECT_EQ(zooDigest(1, SamplerKind::Lhs, 1, 30), 0xa8aaa2d08d8df699ull);
+    EXPECT_EQ(zooDigest(2, SamplerKind::Lhs, 1, 45), 0x1d1f7fbc2174573aull);
+}
+
+TEST(SparsePredictorTest, FittedCurvesDigestIsPinned)
+{
+    // Without its anchors a plan measures none of the three curves the
+    // classifier reads, so the ensemble members disagree there and no
+    // reconstruction can settle its votes from the envelope: every
+    // kernel runs the full vote loop, and 116 of 267 are band-flagged.
+    const SparsePredictor predictor(ConfigSpace::paperGrid());
+    const auto anchors = predictor.anchorConfigs();
+    auto plan = predictor.lhsPlan(120);
+    std::erase_if(plan, [&](size_t flat) {
+        return std::binary_search(anchors.begin(), anchors.end(), flat);
+    });
+    ASSERT_EQ(anchors.size(), 28u);
+    ASSERT_EQ(plan.size(), 92u);
+    EXPECT_EQ(digestZoo(predictor, 1,
+                        [&](const ScalingSurface &) { return plan; }),
+              0xb8f494d7d5daa009ull);
 }
 
 TEST(SparsePredictorTest, ReusedScratchLeaksNoState)

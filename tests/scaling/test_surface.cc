@@ -176,6 +176,52 @@ TEST(SurfaceTest, RangesAreBitwiseTheirDefinitions)
     }
 }
 
+TEST(SurfaceTest, RobustTailsBoundEveryRangeBetweenThem)
+{
+    // The sparse predictor settles its ensemble's LaunchBound votes
+    // from the tails of the ensemble's envelope (docs/prediction.md).
+    // That needs robustTails() to be the two percentiles
+    // robustPerfRange() divides, bit for bit, and each tail to be
+    // monotone: for x <= y pointwise, every z between them has a
+    // robust range in [high(x) / low(y), high(y) / low(x)].
+    Rng rng(29);
+    for (const size_t n : {1, 2, 3, 27, 255, 256, 891}) {
+        for (int trial = 0; trial < 16; ++trial) {
+            const bool ties = trial % 2 == 1;
+            std::vector<double> x(n), y(n), z(n);
+            for (double &v : x) {
+                v = ties ? 1.0 + static_cast<double>(rng.uniformInt(0, 3))
+                         : std::exp(rng.uniform() * 8.0 - 12.0);
+            }
+            if (trial % 4 >= 2)
+                std::sort(x.rbegin(), x.rend());
+            for (size_t i = 0; i < n; ++i) {
+                // A non-negative increment at a random subset of
+                // points; whole steps keep the ties.
+                const double step =
+                    ties ? static_cast<double>(rng.uniformInt(0, 2))
+                         : x[i] * rng.uniform();
+                y[i] = rng.uniform() < 0.5 ? x[i] : x[i] + step;
+                z[i] = rng.uniform() < 0.5 ? x[i] : y[i];
+            }
+            for (const double tail : {0.0, 2.0, 2.5, 25.0, 50.0}) {
+                const RobustTails tx = robustTails(x, tail);
+                const RobustTails ty = robustTails(y, tail);
+                EXPECT_EQ(tx.low, percentile(x, tail))
+                    << "n=" << n << " trial " << trial << " tail " << tail;
+                EXPECT_EQ(tx.high, percentile(x, 100.0 - tail))
+                    << "n=" << n << " trial " << trial << " tail " << tail;
+                EXPECT_EQ(robustPerfRange(x, tail), tx.high / tx.low);
+                EXPECT_LE(tx.low, ty.low);
+                EXPECT_LE(tx.high, ty.high);
+                const double range = robustPerfRange(z, tail);
+                EXPECT_LE(tx.high / ty.low, range);
+                EXPECT_LE(range, ty.high / tx.low);
+            }
+        }
+    }
+}
+
 class SurfaceErrorTest : public ::testing::Test
 {
   protected:
