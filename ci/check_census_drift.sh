@@ -25,6 +25,9 @@ if [ ! -x "$gpuscale" ]; then
     echo "check_census_drift: no gpuscale binary at $gpuscale" >&2
     exit 1
 fi
+# The census runs in a temporary directory, so a relative path (as CI
+# passes it) is made absolute first.
+gpuscale=$(cd "$(dirname "$gpuscale")" && pwd)/$(basename "$gpuscale")
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT

@@ -43,18 +43,23 @@ runBatchImpl(const BatchPlan &plan, double *out)
     const double s_bytes = plan.serial_cu.dram_bytes;
 
     // The Amdahl phase always runs on the one-CU machine, so its
-    // core-domain max is CU-invariant: hoist it per core clock.
-    std::vector<double> serial_base(kHasSerial ? n_core : 0);
+    // core-domain max is CU-invariant: hoist it per core clock, into
+    // a per-thread buffer whose capacity lasts, so that the model
+    // allocates only its result.
+    const double *serial_base = nullptr;
     if constexpr (kHasSerial) {
+        thread_local std::vector<double> buffer;
+        buffer.resize(n_core);
         for (size_t c = 0; c < n_core; ++c) {
-            serial_base[c] = computeCoreTerms(
-                                 plan.kernel, plan.serial_cu,
-                                 plan.core_clk_hz[c],
-                                 plan.core_time_s[c], plan.l2_hop_s[c],
-                                 plan.dram_hop_s[c],
-                                 plan.atomic_rate[c])
-                                 .base_max;
+            buffer[c] = computeCoreTerms(plan.kernel, plan.serial_cu,
+                                         plan.core_clk_hz[c],
+                                         plan.core_time_s[c],
+                                         plan.l2_hop_s[c],
+                                         plan.dram_hop_s[c],
+                                         plan.atomic_rate[c])
+                            .base_max;
         }
+        serial_base = buffer.data();
     }
 
     double *__restrict__ row = out;

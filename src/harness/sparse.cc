@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <thread>
 
 #include "base/fault.hh"
@@ -75,19 +74,20 @@ keySuffix(const SparseCensusOptions &options)
 }
 
 /**
- * Cache key for one kernel's sample plan: the full-sweep key plus
- * the census's key suffix.  Empty when the model is uncacheable
- * (empty full-sweep key).
+ * Build the cache key for one kernel's sample plan into `key`: the
+ * full-sweep key plus the census's key suffix, appended to the same
+ * buffer.  Left empty when the model is uncacheable (empty
+ * full-sweep key).
  */
-std::string
-sparseKeyFor(const CensusInvariants &invariants,
+void
+sparseKeyFor(std::string &key, const CensusInvariants &invariants,
              const gpu::KernelDesc &kernel)
 {
-    std::string key =
-        SweepCache::keyFor(invariants.model_fp, kernel, invariants.grid_fp);
+    key.clear();
+    SweepCache::appendKey(key, invariants.model_fp, kernel,
+                          invariants.grid_fp);
     if (!key.empty())
         key += invariants.key_suffix;
-    return key;
 }
 
 /**
@@ -135,8 +135,8 @@ unpackSamples(const std::vector<double> &packed, size_t grid_size,
  * reconstruct its surface.  The measured (index, runtime) set is
  * cached under the full-sweep key plus a plan suffix, so repeated
  * sparse runs — and the accuracy bench's budget curves — only pay
- * for the model once per (kernel, plan).  A miss is staged into
- * `staged`, which the caller inserts.
+ * for the model once per (kernel, plan).  A miss is kept in
+ * `shard`, which the caller inserts.
  */
 scaling::SparseReconstruction
 sparseSweepKernel(const gpu::PerfModel &model,
@@ -145,7 +145,7 @@ sparseSweepKernel(const gpu::PerfModel &model,
                   const CensusInvariants &invariants,
                   const SparseCensusOptions &options,
                   const scaling::TaxonomyParams &params,
-                  SweepCache::Batch &staged)
+                  SweepCache::Shard &shard)
 {
     SparseMetrics &metrics = SparseMetrics::get();
     GPUSCALE_TRACE_SCOPE("sparse/", kernel.name);
@@ -154,15 +154,17 @@ sparseSweepKernel(const gpu::PerfModel &model,
     faultPoint("sweep.kernel");
 
     const scaling::ConfigSpace &space = predictor.space();
-    std::string key = sparseKeyFor(invariants, kernel);
-
-    // The plan and its runtimes, per thread so their capacity lasts.
+    // The key, the plan and its runtimes, per thread so their
+    // capacity lasts.
+    thread_local std::string key;
     thread_local std::vector<size_t> indices;
     thread_local std::vector<double> runtimes;
+    sparseKeyFor(key, invariants, kernel);
+    const SweepCache::KeyView key_view(key);
     bool measured = false;
     if (!key.empty()) {
         const SweepCache::Runtimes hit =
-            SweepCache::instance().lookupShared(key);
+            SweepCache::instance().lookupShared(key_view);
         measured = hit != nullptr &&
                    unpackSamples(*hit, space.size(), indices, runtimes);
     }
@@ -193,11 +195,8 @@ sparseSweepKernel(const gpu::PerfModel &model,
             indices = predictor.activePlan(options.samples, measureOne);
             break;
         }
-        if (!key.empty()) {
-            SweepCache::stage(staged, std::move(key),
-                              std::make_shared<const std::vector<double>>(
-                                  packSamples(indices, runtimes)));
-        }
+        if (!key.empty())
+            shard.keep(key_view, packSamples(indices, runtimes));
         debuglog("sparse %s: %zu samples", kernel.name.c_str(),
                  indices.size());
     }
@@ -262,28 +261,27 @@ runSparseCensus(const gpu::PerfModel &model,
     std::vector<std::optional<scaling::SparseReconstruction>> slots(
         kernels.size());
     SweepCache &cache = SweepCache::instance();
-    parallelFor(num_shards, [&](size_t shard) {
+    parallelFor(num_shards, [&](size_t shard_index) {
         const size_t n = kernels.size();
-        const size_t begin = shard * n / num_shards;
-        const size_t end = (shard + 1) * n / num_shards;
-        // As in sweepKernels(): the shard's measured plans, staged
-        // outside the cache lock and inserted in one batch however
-        // the shard ends.
-        SweepCache::Batch staged;
-        staged.reserve(end - begin);
+        const size_t begin = shard_index * n / num_shards;
+        const size_t end = (shard_index + 1) * n / num_shards;
+        // As in sweepKernels(): the shard's measured plans, kept in
+        // one store, staged outside the cache lock and inserted in
+        // one batch however the shard ends.
+        SweepCache::Shard shard(end - begin);
         try {
             for (size_t k = begin; k < end; ++k) {
                 slots[k] = sparseSweepKernel(model, *kernels[k], predictor,
                                              invariants, options, params,
-                                             staged);
+                                             shard);
                 if (progress != nullptr)
                     progress->tick();
             }
         } catch (...) {
-            cache.insertBatch(staged);
+            cache.insertBatch(shard);
             throw;
         }
-        cache.insertBatch(staged);
+        cache.insertBatch(shard);
     });
 
     census.reconstructions.reserve(kernels.size());

@@ -11,9 +11,10 @@
  * kernel.  The flat vector becomes one immutable shared vector that
  * the sweep cache and the kernel's ScalingSurface both hold, so it is
  * never copied; keys come from model and grid fingerprints taken
- * once per sweepKernels() call.  A shard stages its misses and
+ * once per sweepKernels() call.  A shard keeps the vectors it
+ * computes in one store (SweepCache::Shard), stages their entries and
  * inserts them in one batch, so the cache lock is taken for lookups
- * and once per shard, never around an allocation.
+ * and once per shard, never around an allocation or a hash.
  */
 
 #include "sweep.hh"
@@ -76,8 +77,8 @@ struct SweepMetrics {
 /**
  * Sweep one kernel over the whole grid: one cache probe under its
  * SweepCache::keyFor key, then one batched model evaluation on a
- * miss.  A hit returns the vector the cache holds; a miss returns the
- * fresh vector and sets `computed`, and the caller stores it.  The
+ * miss.  A hit returns the vector the cache holds; a miss keeps the
+ * fresh vector in `shard`, which stages it for the cache.  The
  * per-estimate latency histogram is fed the batch's amortized
  * per-point cost, and sweep.estimates.count advances only for
  * estimates actually computed (cache hits are free and are counted by
@@ -85,8 +86,8 @@ struct SweepMetrics {
  */
 SweepCache::Runtimes
 sweepOne(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
-         const gpu::ConfigGrid &grid, const std::string &key,
-         bool &computed)
+         const gpu::ConfigGrid &grid, const SweepCache::KeyView &key,
+         SweepCache::Shard &shard)
 {
     SweepMetrics &metrics = SweepMetrics::get();
     GPUSCALE_TRACE_SCOPE("sweep/", kernel.name);
@@ -96,7 +97,6 @@ sweepOne(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
     // models a crashing worker.
     faultPoint("sweep.kernel");
 
-    computed = false;
     SweepCache &cache = SweepCache::instance();
     if (SweepCache::Runtimes hit = cache.lookupShared(key)) {
         debuglog("swept %s: %zu configs (cached)", kernel.name.c_str(),
@@ -106,8 +106,7 @@ sweepOne(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
 
     const auto t0 = std::chrono::steady_clock::now();
     SweepCache::Runtimes runtimes =
-        std::make_shared<const std::vector<double>>(
-            model.evaluateGridRuntimes(kernel, grid));
+        shard.keep(key, model.evaluateGridRuntimes(kernel, grid));
     const auto t1 = std::chrono::steady_clock::now();
 
     metrics.estimates.inc(runtimes->size());
@@ -115,7 +114,6 @@ sweepOne(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
         std::chrono::duration<double>(t1 - t0).count() /
         static_cast<double>(std::max<size_t>(1, runtimes->size())));
 
-    computed = true;
     debuglog("swept %s: %zu configs", kernel.name.c_str(),
              runtimes->size());
     return runtimes;
@@ -129,11 +127,10 @@ sweepKernel(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
 {
     const gpu::ConfigGrid &grid = space.grid();
     const std::string key = SweepCache::keyFor(model, kernel, grid);
-    bool computed = false;
+    SweepCache::Shard shard(1);
     SweepCache::Runtimes runtimes =
-        sweepOne(model, kernel, grid, key, computed);
-    if (computed)
-        SweepCache::instance().insertShared(key, runtimes);
+        sweepOne(model, kernel, grid, SweepCache::KeyView(key), shard);
+    SweepCache::instance().insertBatch(shard);
     return scaling::ScalingSurface(kernel.name, space, std::move(runtimes));
 }
 
@@ -170,58 +167,72 @@ sweepKernels(const gpu::PerfModel &model,
 
     // Each shard builds (and, when asked, classifies) its kernels'
     // surfaces, checks included, into pre-sized slots so workers
-    // never contend.
+    // never contend.  The kernel names the surfaces and the
+    // classifications keep are copied here, before the region, and
+    // the shards move them in: the workers allocate only what the
+    // cache keeps.
     std::vector<std::optional<scaling::ScalingSurface>> built(kernels.size());
-    if (classifications != nullptr)
+    std::vector<std::string> names;
+    names.reserve(kernels.size());
+    for (const auto *kernel : kernels)
+        names.push_back(kernel->name);
+    if (classifications != nullptr) {
         classifications->assign(kernels.size(), {});
-    parallelFor(num_shards, [&](size_t shard) {
+        for (size_t k = 0; k < kernels.size(); ++k)
+            (*classifications)[k].kernel = kernels[k]->name;
+    }
+    parallelFor(num_shards, [&](size_t shard_index) {
         const auto t0 = std::chrono::steady_clock::now();
         // Balanced contiguous partition of [0, n) into num_shards.
         const size_t n = kernels.size();
-        const size_t begin = shard * n / num_shards;
-        const size_t end = (shard + 1) * n / num_shards;
-        // The shard's misses, keys and nodes allocated here rather
-        // than under the cache lock, and inserted in one batch
-        // however the shard ends.
-        SweepCache::Batch staged;
-        staged.reserve(end - begin);
+        const size_t begin = shard_index * n / num_shards;
+        const size_t end = (shard_index + 1) * n / num_shards;
+        // The vectors the shard computes and their cache entries,
+        // allocated here rather than under the cache lock, and
+        // inserted in one batch however the shard ends.
+        SweepCache::Shard shard(end - begin);
+        // Each kernel's key is built into this thread's buffer, so
+        // a key allocates only when the cache keeps it.
+        thread_local std::string key;
         try {
             for (size_t k = begin; k < end; ++k) {
                 const gpu::KernelDesc &kernel = *kernels[k];
                 // One identity for the journal and the cache, built
                 // in the shard: a kernel that changed under the same
                 // name misses both.
-                std::string key =
-                    SweepCache::keyFor(model_fp, kernel, grid_fp);
+                key.clear();
+                SweepCache::appendKey(key, model_fp, kernel, grid_fp);
                 // Journal first: a replayed kernel skips the sweep
                 // (and the cache) entirely, and is not re-recorded.
                 std::vector<double> replayed;
                 if (journal != nullptr && journal->lookup(key, replayed)) {
-                    built[k].emplace(kernel.name, space,
+                    built[k].emplace(std::move(names[k]), space,
                                      std::move(replayed));
                 } else {
-                    bool computed = false;
                     SweepCache::Runtimes runtimes =
-                        sweepOne(model, kernel, grid, key, computed);
+                        sweepOne(model, kernel, grid,
+                                 SweepCache::KeyView(key), shard);
                     if (journal != nullptr)
                         journal->record(key, *runtimes);
-                    if (computed)
-                        SweepCache::stage(staged, std::move(key), runtimes);
-                    built[k].emplace(kernel.name, space,
+                    built[k].emplace(std::move(names[k]), space,
                                      std::move(runtimes));
                 }
                 if (classifications != nullptr) {
-                    (*classifications)[k] =
-                        scaling::classifySurface(*built[k], params);
+                    scaling::KernelClassification &cls =
+                        (*classifications)[k];
+                    std::string name = std::move(cls.kernel);
+                    cls = scaling::classifyRuntimes(
+                        space, built[k]->runtimes(), params);
+                    cls.kernel = std::move(name);
                 }
                 if (progress != nullptr)
                     progress->tick();
             }
         } catch (...) {
-            cache.insertBatch(staged);
+            cache.insertBatch(shard);
             throw;
         }
-        cache.insertBatch(staged);
+        cache.insertBatch(shard);
         const auto t1 = std::chrono::steady_clock::now();
         metrics.shard_latency.record(
             std::chrono::duration<double>(t1 - t0).count());

@@ -64,11 +64,15 @@ diskRole()
     return role;
 }
 
+/**
+ * Append one key field and its separator: a double in the shortest
+ * round-trip form formatDoubleShortest() prints, an integer as
+ * std::to_string() prints it, both written in place.
+ */
+template <typename T>
 void
-appendDouble(std::string &out, double v)
+appendField(std::string &out, T v)
 {
-    // The shortest round-trip form formatDoubleShortest() prints,
-    // written in place so that a key allocates once.
     char buf[32];
     const auto res = std::to_chars(buf, buf + sizeof(buf), v);
     panic_if(res.ec != std::errc(), "to_chars overflowed a key field");
@@ -101,60 +105,77 @@ SweepCache::keyFor(const std::string &model_fingerprint,
                    const gpu::KernelDesc &kernel,
                    const std::string &grid_fingerprint)
 {
+    std::string key;
+    appendKey(key, model_fingerprint, kernel, grid_fingerprint);
+    return key;
+}
+
+void
+SweepCache::appendKey(std::string &out,
+                      const std::string &model_fingerprint,
+                      const gpu::KernelDesc &kernel,
+                      const std::string &grid_fingerprint)
+{
     if (model_fingerprint.empty())
-        return "";
+        return;
 
     // Reserved once: each of the descriptor's 20 doubles prints in
     // at most 24 characters and each of its 4 integers in at most 20,
     // plus a separator each and 16 characters of labels.
-    std::string key;
-    key.reserve(model_fingerprint.size() + kernel.name.size() +
-                grid_fingerprint.size() + 20 * 25 + 4 * 21 + 16);
-    key += "model=";
-    key += model_fingerprint;
-    key += "|kernel=";
-    key += kernel.name;
-    key += ';';
+    out.reserve(out.size() + model_fingerprint.size() +
+                kernel.name.size() + grid_fingerprint.size() + 20 * 25 +
+                4 * 21 + 16);
+    out += "model=";
+    out += model_fingerprint;
+    out += "|kernel=";
+    out += kernel.name;
+    out += ';';
     // Every descriptor field is a model input, so every field is part
     // of the identity — including ones only some models read.
-    key += std::to_string(kernel.num_workgroups);
-    key += ';';
-    key += std::to_string(kernel.work_items_per_wg);
-    key += ';';
-    key += std::to_string(kernel.launches);
-    key += ';';
-    appendDouble(key, kernel.valu_ops);
-    appendDouble(key, kernel.salu_ops_per_wave);
-    appendDouble(key, kernel.sfu_ops);
-    appendDouble(key, kernel.mem_loads);
-    appendDouble(key, kernel.mem_stores);
-    appendDouble(key, kernel.bytes_per_access);
-    appendDouble(key, kernel.coalescing);
-    appendDouble(key, kernel.lds_ops);
-    appendDouble(key, kernel.lds_bytes_per_wg);
-    key += std::to_string(kernel.vgprs);
-    key += ';';
-    appendDouble(key, kernel.branch_divergence);
-    appendDouble(key, kernel.barriers);
-    appendDouble(key, kernel.l1_reuse);
-    appendDouble(key, kernel.l2_reuse);
-    appendDouble(key, kernel.footprint_bytes_per_wg);
-    appendDouble(key, kernel.shared_footprint_bytes);
-    appendDouble(key, kernel.mlp);
-    appendDouble(key, kernel.serial_fraction);
-    appendDouble(key, kernel.atomic_ops);
-    appendDouble(key, kernel.atomic_contention);
-    appendDouble(key, kernel.host_overhead_us);
-    key += "|";
-    key += grid_fingerprint;
-    return key;
+    appendField(out, kernel.num_workgroups);
+    appendField(out, kernel.work_items_per_wg);
+    appendField(out, kernel.launches);
+    appendField(out, kernel.valu_ops);
+    appendField(out, kernel.salu_ops_per_wave);
+    appendField(out, kernel.sfu_ops);
+    appendField(out, kernel.mem_loads);
+    appendField(out, kernel.mem_stores);
+    appendField(out, kernel.bytes_per_access);
+    appendField(out, kernel.coalescing);
+    appendField(out, kernel.lds_ops);
+    appendField(out, kernel.lds_bytes_per_wg);
+    appendField(out, kernel.vgprs);
+    appendField(out, kernel.branch_divergence);
+    appendField(out, kernel.barriers);
+    appendField(out, kernel.l1_reuse);
+    appendField(out, kernel.l2_reuse);
+    appendField(out, kernel.footprint_bytes_per_wg);
+    appendField(out, kernel.shared_footprint_bytes);
+    appendField(out, kernel.mlp);
+    appendField(out, kernel.serial_fraction);
+    appendField(out, kernel.atomic_ops);
+    appendField(out, kernel.atomic_contention);
+    appendField(out, kernel.host_overhead_us);
+    out += "|";
+    out += grid_fingerprint;
+}
+
+SweepCache::KeyView::KeyView(const std::string &key)
+    : text(key), hash(std::hash<std::string>{}(key))
+{
 }
 
 SweepCache::Runtimes
 SweepCache::lookupShared(const std::string &key)
 {
+    return lookupShared(KeyView(key));
+}
+
+SweepCache::Runtimes
+SweepCache::lookupShared(const KeyView &key)
+{
     CacheMetrics &metrics = CacheMetrics::get();
-    if (key.empty()) {
+    if (key.text.empty()) {
         metrics.misses.inc();
         return nullptr;
     }
@@ -171,11 +192,11 @@ SweepCache::lookupShared(const std::string &key)
     }
 
     std::vector<double> from_disk;
-    if (disk != nullptr && disk->lookup(key, from_disk)) {
+    if (disk != nullptr && disk->lookup(key.text, from_disk)) {
         Runtimes runtimes =
             std::make_shared<const std::vector<double>>(std::move(from_disk));
-        Batch promoted;
-        promoted.try_emplace(key, runtimes);
+        Map promoted;
+        stage(promoted, key, runtimes);
         link(promoted);
         metrics.hits.inc();
         return runtimes;
@@ -185,27 +206,40 @@ SweepCache::lookupShared(const std::string &key)
     return nullptr;
 }
 
-void
-SweepCache::insertShared(const std::string &key, const Runtimes &runtimes)
+SweepCache::Runtimes
+SweepCache::Shard::keep(const KeyView &key, std::vector<double> runtimes)
 {
-    Batch one;
-    stage(one, key, runtimes);
-    insertBatch(one);
+    if (store_ == nullptr) {
+        // One allocation holds the control block and every slot, so
+        // no vector ever moves under the aliases that point into it.
+        store_ = std::make_shared<std::vector<double>[]>(capacity_);
+        staged_.reserve(capacity_);
+    }
+    panic_if(kept_ == capacity_,
+             "sweep-cache shard keeps more than its %zu vectors",
+             capacity_);
+    std::vector<double> &slot = store_[kept_++];
+    slot = std::move(runtimes);
+    Runtimes alias(store_, &slot);
+    stage(staged_, key, alias);
+    return alias;
 }
 
 void
-SweepCache::stage(Batch &batch, std::string key, Runtimes runtimes)
+SweepCache::stage(Map &staged, const KeyView &key, Runtimes runtimes)
 {
-    if (key.empty())
+    if (key.text.empty())
         return;
     panic_if(runtimes == nullptr, "sweep-cache insert without runtimes");
-    batch.insert_or_assign(std::move(key), std::move(runtimes));
+    staged.insert_or_assign(StoredKey{key.text, key.hash},
+                            std::move(runtimes));
 }
 
 void
-SweepCache::insertBatch(Batch &batch)
+SweepCache::insertBatch(Shard &shard)
 {
-    if (batch.empty())
+    Map &staged = shard.staged_;
+    if (staged.empty())
         return;
     std::shared_ptr<CensusJournal> disk;
     {
@@ -216,15 +250,15 @@ SweepCache::insertBatch(Batch &batch)
         // Recorded while the batch still holds its keys, and flushed
         // at once so other processes see the entries.
         try {
-            for (const auto &[key, runtimes] : batch)
-                disk->record(key, *runtimes);
+            for (const auto &[key, runtimes] : staged)
+                disk->record(key.text, *runtimes);
             disk->flush();
         } catch (...) {
-            link(batch);
+            link(staged);
             throw;
         }
     }
-    link(batch);
+    link(staged);
 }
 
 bool
@@ -241,21 +275,23 @@ void
 SweepCache::insert(const std::string &key,
                    const std::vector<double> &runtimes)
 {
-    if (!key.empty())
-        insertShared(key,
-                     std::make_shared<const std::vector<double>>(runtimes));
+    if (key.empty())
+        return;
+    Shard one(1);
+    one.keep(KeyView(key), runtimes);
+    insertBatch(one);
 }
 
 void
-SweepCache::link(Batch &batch)
+SweepCache::link(Map &staged)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    while (!batch.empty())
-        linkLocked(batch.extract(batch.begin()));
+    while (!staged.empty())
+        linkLocked(staged.extract(staged.begin()));
 }
 
 void
-SweepCache::linkLocked(Batch::node_type node)
+SweepCache::linkLocked(Map::node_type node)
 {
     auto linked = map_.insert(std::move(node));
     if (!linked.inserted) {

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -244,6 +245,74 @@ TEST_F(SweepCacheTest,
     ASSERT_EQ(surface.runtimes().size(), swept.size());
     for (size_t i = 0; i < swept.size(); ++i)
         EXPECT_EQ(surface.runtimes()[i], swept[i]);
+}
+
+/** Same length and the same bits at every index. */
+bool
+bitwiseEqual(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST_F(SweepCacheTest, ShardStoreOutlivesTheCacheEntriesThatShareIt)
+{
+    // A sweepKernels() shard keeps the vectors it computes in one
+    // store, and its surfaces and cache entries all alias that store.
+    // A surface must keep its runtimes when the cache drops its
+    // entries, whether clear() drops them or eviction does.
+    auto &cache = harness::SweepCache::instance();
+    const gpu::AnalyticModel model;
+    const auto space = scaling::ConfigSpace::testGrid();
+    const auto kernels =
+        workloads::WorkloadRegistry::instance().allKernels();
+    std::vector<std::string> keys;
+    std::vector<std::vector<double>> expected;
+    for (const auto *kernel : kernels) {
+        keys.push_back(
+            harness::SweepCache::keyFor(model, *kernel, space.grid()));
+        expected.push_back(
+            model.evaluateGridRuntimes(*kernel, space.grid()));
+    }
+
+    // A cold sharded sweep, whose every hit returns the surface's own
+    // vector rather than a copy of it.
+    const auto sweep = [&] {
+        auto surfaces = harness::sweepKernels(model, kernels, space);
+        EXPECT_EQ(surfaces.size(), kernels.size());
+        for (size_t k = 0; k < surfaces.size(); ++k) {
+            const harness::SweepCache::Runtimes entry =
+                cache.lookupShared(keys[k]);
+            EXPECT_NE(entry, nullptr) << kernels[k]->name;
+            EXPECT_EQ(entry.get(), &surfaces[k].runtimes())
+                << kernels[k]->name;
+        }
+        return surfaces;
+    };
+    const auto expectIntact =
+        [&](const std::vector<scaling::ScalingSurface> &surfaces) {
+            for (size_t k = 0; k < surfaces.size(); ++k) {
+                EXPECT_TRUE(bitwiseEqual(surfaces[k].runtimes(),
+                                         expected[k]))
+                    << kernels[k]->name;
+            }
+        };
+
+    const auto cleared = sweep();
+    cache.clear();
+    ASSERT_EQ(cache.entries(), 0u);
+    expectIntact(cleared);
+
+    // 4096 inserts fill the cache with other keys, evicting every
+    // entry of every shard.
+    constexpr size_t kCapacity = 4096;
+    const auto evicted = sweep();
+    for (size_t i = 0; i < kCapacity; ++i)
+        cache.insert("shard-store-test|k=" + std::to_string(i), {1.0});
+    ASSERT_EQ(cache.entries(), kCapacity);
+    for (const auto &key : keys)
+        EXPECT_EQ(cache.lookupShared(key), nullptr);
+    expectIntact(evicted);
 }
 
 TEST_F(SweepCacheTest, DiskLayerSurvivesInMemoryClear)
