@@ -9,28 +9,10 @@ namespace gpuscale {
 namespace analysis {
 
 std::string
-severityName(Severity s)
-{
-    switch (s) {
-      case Severity::Error:
-        return "error";
-      case Severity::Warning:
-        return "warning";
-    }
-    panic("unreachable severity %d", static_cast<int>(s));
-}
-
-std::string
 Finding::render() const
 {
-    std::string out;
-    if (file.empty())
-        out = strprintf("%s: [%s] %s", severityName(severity).c_str(),
-                        rule.c_str(), message.c_str());
-    else
-        out = strprintf("%s:%d: %s: [%s] %s", file.c_str(), line,
-                        severityName(severity).c_str(), rule.c_str(),
-                        message.c_str());
+    std::string out = strprintf("%s:%d: error: [%s] %s", file.c_str(),
+                                line, rule.c_str(), message.c_str());
     if (!hint.empty())
         out += strprintf(" (fix: %s)", hint.c_str());
     return out;
@@ -41,12 +23,6 @@ Report::add(Finding f)
 {
     findings_.push_back(std::move(f));
     sorted_ = false;
-}
-
-void
-Report::noteSuppressed(const std::string &rule)
-{
-    ++suppressed_[rule];
 }
 
 const std::vector<Finding> &
@@ -61,30 +37,6 @@ Report::findings() const
         sorted_ = true;
     }
     return findings_;
-}
-
-size_t
-Report::errorCount() const
-{
-    return std::count_if(findings_.begin(), findings_.end(),
-                         [](const Finding &f) {
-                             return f.severity == Severity::Error;
-                         });
-}
-
-size_t
-Report::warningCount() const
-{
-    return findings_.size() - errorCount();
-}
-
-size_t
-Report::suppressedCount() const
-{
-    size_t n = 0;
-    for (const auto &[rule, count] : suppressed_)
-        n += count;
-    return n;
 }
 
 std::string

@@ -3,42 +3,32 @@
  * Findings and report model for gpuscale-lint.
  *
  * Rules emit Findings into a Report; the driver renders the report
- * as compiler-style "file:line: severity: [rule] message" lines and
- * turns the error count into the process exit status.  Suppressed
- * findings are counted (so a silent tree still tells you the rules
- * ran) but carry no location.
+ * as compiler-style "file:line: error: [rule] message" lines, and
+ * any finding at all fails the run.  Suppressed findings are counted
+ * (so a silent tree still tells you the rules ran) but carry no
+ * location.
  */
 
 #ifndef GPUSCALE_ANALYSIS_FINDINGS_HH
 #define GPUSCALE_ANALYSIS_FINDINGS_HH
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
 namespace gpuscale {
 namespace analysis {
 
-enum class Severity {
-    Error,
-    Warning,
-};
-
-/** Human-readable severity name ("error" / "warning"). */
-std::string severityName(Severity s);
-
 /** One rule violation at one source location. */
 struct Finding {
     std::string rule;
-    Severity severity = Severity::Error;
-    std::string file; ///< repo-relative path ("" for repo-wide)
-    int line = 0;     ///< 1-based; 0 for repo-wide findings
+    std::string file; ///< repo-relative path
+    int line = 0;     ///< 1-based
     std::string message;
     std::string hint; ///< optional fix-it suggestion ("" for none)
 
-    /** The rendered "file:line: severity: [rule] message" form,
-     *  with "(fix: hint)" appended when a hint is present. */
+    /** The rendered "file:line: error: [rule] message" form, with
+     *  " (fix: hint)" appended when a hint is present. */
     std::string render() const;
 };
 
@@ -49,20 +39,13 @@ class Report
     void add(Finding f);
 
     /** Record that a finding was silenced by an allow() comment. */
-    void noteSuppressed(const std::string &rule);
+    void noteSuppressed() { ++suppressed_; }
 
     /** Findings sorted by (file, line, rule). */
     const std::vector<Finding> &findings() const;
 
-    size_t errorCount() const;
-    size_t warningCount() const;
-    size_t suppressedCount() const;
-
-    /** Per-rule suppression counts, for the summary line. */
-    const std::map<std::string, size_t> &suppressedByRule() const
-    {
-        return suppressed_;
-    }
+    /** Findings silenced so far, for the summary line. */
+    size_t suppressedCount() const { return suppressed_; }
 
     /** All findings rendered one per line (empty string if clean). */
     std::string render() const;
@@ -70,7 +53,7 @@ class Report
   private:
     mutable std::vector<Finding> findings_;
     mutable bool sorted_ = true;
-    std::map<std::string, size_t> suppressed_;
+    size_t suppressed_ = 0;
 };
 
 } // namespace analysis

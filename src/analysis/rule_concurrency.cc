@@ -52,8 +52,7 @@ class ConcurrencyRule : public Rule
     }
 
     void
-    run(const SourceRepo &repo, const LintOptions &,
-        Report &report) const override
+    run(const SourceRepo &repo, Report &report) const override
     {
         for (const auto &file : repo.files) {
             if (!file.isCpp() || isPoolFile(file.path()))
@@ -78,7 +77,7 @@ class ConcurrencyRule : public Rule
                 if (after < file.code().size() &&
                     file.code()[after] == ':')
                     continue;
-                emit(file, file.lineOf(off), Severity::Error,
+                emit(file, file.lineOf(off),
                      strprintf("%s outside the harness thread pool; "
                                "use parallelFor (harness/parallel.hh)",
                                spawn.c_str()),
@@ -97,7 +96,7 @@ class ConcurrencyRule : public Rule
             const size_t after = off + std::string("detach").size();
             if (after >= code.size() || code[after] != '(')
                 continue;
-            emit(file, file.lineOf(off), Severity::Error,
+            emit(file, file.lineOf(off),
                  "detached threads outlive their owner and race "
                  "process shutdown; join via the pool instead",
                  report);
@@ -142,7 +141,7 @@ class ConcurrencyRule : public Rule
                 if (!disciplined.empty() &&
                     disciplined.count(declaredName(code, after)))
                     continue;
-                emit(file, file.lineOf(off), Severity::Error,
+                emit(file, file.lineOf(off),
                      strprintf("raw %s outside the harness pool; if "
                                "this module genuinely needs one, add "
                                "// gpuscale-lint: allow(concurrency) "

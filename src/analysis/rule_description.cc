@@ -34,8 +34,7 @@ class DescriptionRule : public Rule
     }
 
     void
-    run(const SourceRepo &repo, const LintOptions &,
-        Report &report) const override
+    run(const SourceRepo &repo, Report &report) const override
     {
         for (const auto &file : repo.files)
             if (file.isCpp())
@@ -119,7 +118,7 @@ class DescriptionRule : public Rule
                     continue;
 
                 if (code[p] == ')') {
-                    emit(file, name_lit->line, Severity::Error,
+                    emit(file, name_lit->line,
                          strprintf("instrument \"%s\" is registered "
                                    "without a description",
                                    name_lit->text.c_str()),
@@ -140,7 +139,7 @@ class DescriptionRule : public Rule
                 concatenatedLiteral(file, desc_lit, desc_len,
                                     desc_end);
                 if (desc_len == 0) {
-                    emit(file, desc_lit->line, Severity::Error,
+                    emit(file, desc_lit->line,
                          strprintf("instrument \"%s\" is registered "
                                    "with an empty description",
                                    name_lit->text.c_str()),

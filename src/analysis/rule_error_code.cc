@@ -126,8 +126,7 @@ class ErrorCodeRule : public Rule
     }
 
     void
-    run(const SourceRepo &repo, const LintOptions &,
-        Report &report) const override
+    run(const SourceRepo &repo, Report &report) const override
     {
         static const std::string kType = "std::error_code";
         for (const auto &file : repo.files) {
@@ -156,7 +155,7 @@ class ErrorCodeRule : public Rule
                     continue;
 
                 if (!everInspected(code, var, semi))
-                    emit(file, file.lineOf(off), Severity::Error,
+                    emit(file, file.lineOf(off),
                          strprintf(
                              "std::error_code '%s' is declared but "
                              "never inspected; a swallowed error is a "

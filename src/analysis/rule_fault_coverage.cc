@@ -67,8 +67,7 @@ class FaultCoverageRule : public Rule
     }
 
     void
-    run(const SourceRepo &repo, const LintOptions &,
-        Report &report) const override
+    run(const SourceRepo &repo, Report &report) const override
     {
         for (const auto &file : repo.files) {
             if (!file.isCpp() || isEnvelopeFile(file.path()))
@@ -107,7 +106,7 @@ class FaultCoverageRule : public Rule
 
             if (scopeIsCovered(file, t.offset))
                 continue;
-            emit(file, t.line, Severity::Error,
+            emit(file, t.line,
                  strprintf("raw %s is outside the fault/retry "
                            "envelope; crash tests cannot reach it",
                            what.c_str()),

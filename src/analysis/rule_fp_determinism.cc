@@ -95,8 +95,7 @@ class FpDeterminismRule : public Rule
     }
 
     void
-    run(const SourceRepo &repo, const LintOptions &,
-        Report &report) const override
+    run(const SourceRepo &repo, Report &report) const override
     {
         for (const auto &file : repo.files) {
             if (!file.isCpp()) {
@@ -126,7 +125,7 @@ class FpDeterminismRule : public Rule
         for (const char *flag : kFlags) {
             size_t pos = 0;
             while ((pos = code.find(flag, pos)) != std::string::npos) {
-                emit(file, file.lineOf(pos), Severity::Error,
+                emit(file, file.lineOf(pos),
                      strprintf("fast-math flag '%s' licenses global "
                                "reassociation and breaks the bitwise "
                                "scalar/batched census contract",
@@ -168,7 +167,7 @@ class FpDeterminismRule : public Rule
             }
             if (!floating)
                 continue;
-            emit(file, toks[i].line, Severity::Error,
+            emit(file, toks[i].line,
                  strprintf("std::%s over floating values has an "
                            "unspecified reduction order; results can "
                            "differ in the last ulp between call "
@@ -270,7 +269,7 @@ class FpDeterminismRule : public Rule
             if (!bodyFeedsOrderSensitiveSink(toks, body_begin,
                                              body_end))
                 continue;
-            emit(file, toks[i].line, Severity::Error,
+            emit(file, toks[i].line,
                  "iterating an unordered container into arithmetic "
                  "or serialized output makes the result depend on "
                  "hash seed and load factor",
@@ -376,7 +375,7 @@ class FpDeterminismRule : public Rule
                 // API both paths share, not a private copy.
                 if (hh && declaresFunction(*hh, fn))
                     continue;
-                emit(*tu, line, Severity::Error,
+                emit(*tu, line,
                      strprintf("'%s' is referenced from both the "
                                "scalar and batched census paths but "
                                "defined in a .cc; a second private "

@@ -92,8 +92,7 @@ class LayeringRule : public Rule
     }
 
     void
-    run(const SourceRepo &repo, const LintOptions &,
-        Report &report) const override
+    run(const SourceRepo &repo, Report &report) const override
     {
         // path -> included header paths, for cycle detection.
         std::map<std::string, std::vector<std::string>> graph;
@@ -106,7 +105,7 @@ class LayeringRule : public Rule
                 continue;
             const auto layer_it = layerRanks().find(layer);
             if (layer_it == layerRanks().end()) {
-                emit(file, 1, Severity::Error,
+                emit(file, 1,
                      strprintf("file lives in unknown layer '%s'; "
                                "add it to the layering rule's order",
                                layer.c_str()),
@@ -137,7 +136,7 @@ class LayeringRule : public Rule
             if (repo.find(local))
                 graph[file.path()].push_back(local);
             else
-                emit(file, inc.line, Severity::Error,
+                emit(file, inc.line,
                      strprintf("local include \"%s\" not found next "
                                "to %s",
                                inc.path.c_str(), file.path().c_str()),
@@ -150,7 +149,7 @@ class LayeringRule : public Rule
             inc.path.substr(0, inc.path.find('/'));
         const auto it = layerRanks().find(top);
         if (it == layerRanks().end()) {
-            emit(file, inc.line, Severity::Error,
+            emit(file, inc.line,
                  strprintf("include \"%s\" is neither a local header "
                            "nor rooted at a known layer",
                            inc.path.c_str()),
@@ -158,7 +157,7 @@ class LayeringRule : public Rule
             return;
         }
         if (it->second > rank) {
-            emit(file, inc.line, Severity::Error,
+            emit(file, inc.line,
                  strprintf("layer '%s' must not include '%s' "
                            "(\"%s\"): the layer order is base -> obs "
                            "-> gpu -> workloads -> scaling -> "
@@ -171,7 +170,7 @@ class LayeringRule : public Rule
         if (repo.find(resolved))
             graph[file.path()].push_back(resolved);
         else
-            emit(file, inc.line, Severity::Error,
+            emit(file, inc.line,
                  strprintf("include \"%s\" does not resolve to a "
                            "file under src/",
                            inc.path.c_str()),
@@ -254,7 +253,7 @@ class LayeringRule : public Rule
             path += n + " -> ";
         path += entry;
         const SourceFile *head = repo.find(entry);
-        emit(*head, 1, Severity::Error,
+        emit(*head, 1,
              strprintf("header include cycle: %s", path.c_str()),
              report);
     }

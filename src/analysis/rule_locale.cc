@@ -74,8 +74,7 @@ class LocaleRule : public Rule
     }
 
     void
-    run(const SourceRepo &repo, const LintOptions &,
-        Report &report) const override
+    run(const SourceRepo &repo, Report &report) const override
     {
         for (const auto &file : repo.files) {
             if (!file.isCpp() || isFormattingHost(file.path()))
@@ -99,7 +98,7 @@ class LocaleRule : public Rule
                 if (after >= file.code().size() ||
                     file.code()[after] != '(')
                     continue;
-                emit(file, file.lineOf(off), Severity::Error,
+                emit(file, file.lineOf(off),
                      strprintf("%s() parses numbers under the global "
                                "C locale; use std::from_chars (see "
                                "parseDouble in base/string_util.hh)",
@@ -133,7 +132,7 @@ class LocaleRule : public Rule
                     continue;
                 if (!hasFloatSerializationConversion(fmt->text))
                     continue;
-                emit(file, file.lineOf(off), Severity::Error,
+                emit(file, file.lineOf(off),
                      strprintf("%s() with a %%g/%%e-family "
                                "conversion is locale-dependent; use "
                                "std::to_chars (see "

@@ -65,8 +65,7 @@ class LockDisciplineRule : public Rule
     }
 
     void
-    run(const SourceRepo &repo, const LintOptions &,
-        Report &report) const override
+    run(const SourceRepo &repo, Report &report) const override
     {
         for (const auto &file : repo.files) {
             if (!file.isCpp())
@@ -82,14 +81,14 @@ class LockDisciplineRule : public Rule
                const GuardAnnotation &guard, Report &report) const
     {
         if (guard.mutex.empty()) {
-            emit(file, guard.line, Severity::Error,
+            emit(file, guard.line,
                  "malformed guarded_by annotation (expected "
                  "// guarded_by(mutex_name))",
                  report, "name the mutex: // guarded_by(mu_)");
             return;
         }
         if (guard.field.empty()) {
-            emit(file, guard.line, Severity::Error,
+            emit(file, guard.line,
                  strprintf("guarded_by(%s) does not attach to a "
                            "field declaration",
                            guard.mutex.c_str()),
@@ -99,7 +98,7 @@ class LockDisciplineRule : public Rule
             return;
         }
         if (!fileNamesIdentifier(file, guard.mutex)) {
-            emit(file, guard.line, Severity::Error,
+            emit(file, guard.line,
                  strprintf("guarded_by(%s) names a mutex that does "
                            "not appear in this file",
                            guard.mutex.c_str()),
@@ -155,7 +154,7 @@ class LockDisciplineRule : public Rule
             if (lockCovers(file, guard.mutex, t.offset))
                 continue;
 
-            emit(file, t.line, Severity::Error,
+            emit(file, t.line,
                  strprintf("'%s' is guarded_by(%s) but touched "
                            "without a lock on it",
                            guard.field.c_str(),

@@ -39,8 +39,7 @@ class NamingRule : public Rule
     }
 
     void
-    run(const SourceRepo &repo, const LintOptions &,
-        Report &report) const override
+    run(const SourceRepo &repo, Report &report) const override
     {
         for (const auto &file : repo.files) {
             if (!file.isCpp())
@@ -92,7 +91,7 @@ class NamingRule : public Rule
                 if (!lit)
                     continue;
                 if (!isLowercaseDottedKey(lit->text)) {
-                    emit(file, lit->line, Severity::Error,
+                    emit(file, lit->line,
                          strprintf("metric name \"%s\" breaks the "
                                    "lowercase dotted convention "
                                    "(e.g. \"sweep.kernels.count\")",
@@ -134,7 +133,7 @@ class NamingRule : public Rule
                 if (!opens)
                     continue;
                 if (!isLowercaseSpanName(lit->text)) {
-                    emit(file, lit->line, Severity::Error,
+                    emit(file, lit->line,
                          strprintf("trace span \"%s\" breaks the "
                                    "lowercase dotted/slashed "
                                    "convention (e.g. "
@@ -162,7 +161,7 @@ class NamingRule : public Rule
             if (!lit || lit->offset != off + kToken.size())
                 continue;
             if (!isLowercaseDottedKey(lit->text)) {
-                emit(file, lit->line, Severity::Error,
+                emit(file, lit->line,
                      strprintf("manifest extra key \"%s\" breaks the "
                                "lowercase dotted convention",
                                lit->text.c_str()),

@@ -32,16 +32,15 @@ isKeySegment(const std::string &s, size_t begin, size_t end,
 } // namespace
 
 void
-Rule::emit(const SourceFile &file, int line, Severity severity,
-           std::string message, Report &report,
-           std::string hint) const
+Rule::emit(const SourceFile &file, int line, std::string message,
+           Report &report, std::string hint) const
 {
     if (file.suppressed(line, name())) {
-        report.noteSuppressed(name());
+        report.noteSuppressed();
         return;
     }
-    report.add(Finding{name(), severity, file.path(), line,
-                       std::move(message), std::move(hint)});
+    report.add(Finding{name(), file.path(), line, std::move(message),
+                       std::move(hint)});
 }
 
 std::vector<std::unique_ptr<Rule>>
@@ -52,13 +51,11 @@ allRules()
     rules.push_back(makeConcurrencyRule());
     rules.push_back(makeLocaleRule());
     rules.push_back(makeNamingRule());
-    rules.push_back(makeCensusRule());
     rules.push_back(makeErrorCodeRule());
     rules.push_back(makeDescriptionRule());
     rules.push_back(makeFpDeterminismRule());
     rules.push_back(makeFaultCoverageRule());
     rules.push_back(makeLockDisciplineRule());
-    rules.push_back(makeSuppressionRule());
     return rules;
 }
 

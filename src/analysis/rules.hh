@@ -2,13 +2,15 @@
  * @file
  * Rule interface and registry for gpuscale-lint.
  *
- * Eleven rule families keep the repo honest as it grows
- * (docs/static_analysis.md describes each in depth):
+ * Nine rule families keep the repo honest as it grows
+ * (docs/static_analysis.md describes each in depth).  Each rule is a
+ * function of the source tree alone, and every finding it reports
+ * fails the run unless an allow() marker covers it:
  *
  *  - layering:    includes must respect the layer order
  *                 base -> obs -> gpu -> workloads -> scaling ->
- *                 harness -> analysis -> tools, and the header
- *                 include graph must be acyclic.
+ *                 harness -> service -> analysis -> tools, and the
+ *                 header include graph must be acyclic.
  *  - concurrency: thread creation and raw mutexes belong to
  *                 harness/thread_pool + harness/parallel; everything
  *                 else goes through parallelFor, is governed by
@@ -20,10 +22,6 @@
  *                 base/logging.
  *  - naming:      metric, trace-span, and manifest-extra keys follow
  *                 the lowercase dotted convention.
- *  - census:      kernel/program registrations across the suite
- *                 sources must add up to the paper's 267 kernels /
- *                 97 programs, and each suite file's header comment
- *                 must match its actual counts.
  *  - error-code:  a declared `std::error_code` must be inspected
  *                 afterwards; a silently dropped error code swallows
  *                 filesystem failures.
@@ -44,9 +42,6 @@
  *  - lock-discipline: fields annotated // guarded_by(mu) may only be
  *                 touched in scopes that constructed a lock on mu
  *                 (or in *Locked helpers whose callers hold it).
- *  - suppression: allow() markers must name real rules; a typoed
- *                 allow(locl) that silently suppresses nothing is
- *                 itself a finding.
  */
 
 #ifndef GPUSCALE_ANALYSIS_RULES_HH
@@ -62,22 +57,6 @@
 namespace gpuscale {
 namespace analysis {
 
-/** Paper ground truth the census rule re-derives from the sources. */
-struct CensusExpectation {
-    size_t kernels = 267;
-    size_t programs = 97;
-};
-
-/** Knobs for one lint run (tests override the census numbers). */
-struct LintOptions {
-    CensusExpectation census;
-    /**
-     * Valid rule names for the suppression rule; when empty (the
-     * default) the rule derives the set from allRules() itself.
-     */
-    std::vector<std::string> known_rules;
-};
-
 /** One self-contained invariant checker. */
 class Rule
 {
@@ -90,32 +69,27 @@ class Rule
     /** One-line summary for --list-rules. */
     virtual std::string description() const = 0;
 
-    virtual void run(const SourceRepo &repo, const LintOptions &opts,
-                     Report &report) const = 0;
+    virtual void run(const SourceRepo &repo, Report &report) const = 0;
 
   protected:
     /**
      * Add a finding unless an allow(<rule-name>) comment covers the
      * line; suppressions are still tallied in the report.  The
-     * optional hint becomes the rendered "(fix: ...)" suffix and the
-     * SARIF fix-it property.
+     * optional hint becomes the rendered "(fix: ...)" suffix.
      */
-    void emit(const SourceFile &file, int line, Severity severity,
-              std::string message, Report &report,
-              std::string hint = "") const;
+    void emit(const SourceFile &file, int line, std::string message,
+              Report &report, std::string hint = "") const;
 };
 
 std::unique_ptr<Rule> makeLayeringRule();
 std::unique_ptr<Rule> makeConcurrencyRule();
 std::unique_ptr<Rule> makeLocaleRule();
 std::unique_ptr<Rule> makeNamingRule();
-std::unique_ptr<Rule> makeCensusRule();
 std::unique_ptr<Rule> makeErrorCodeRule();
 std::unique_ptr<Rule> makeDescriptionRule();
 std::unique_ptr<Rule> makeFpDeterminismRule();
 std::unique_ptr<Rule> makeFaultCoverageRule();
 std::unique_ptr<Rule> makeLockDisciplineRule();
-std::unique_ptr<Rule> makeSuppressionRule();
 
 /** Every rule, in documentation order. */
 std::vector<std::unique_ptr<Rule>> allRules();

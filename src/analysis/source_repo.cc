@@ -104,28 +104,15 @@ void
 SourceFile::recordSuppression(const std::string &comment,
                               int first_line, int last_line)
 {
-    static const std::string kTag = "gpuscale-lint:";
     static const std::string kMarker = "gpuscale-lint: allow(";
-    const size_t tag = anchoredFind(comment, kTag);
-    if (tag == std::string::npos)
+    const size_t tag = anchoredFind(comment, "gpuscale-lint:");
+    if (tag == std::string::npos ||
+        comment.compare(tag, kMarker.size(), kMarker) != 0)
         return;
-
-    SuppressionNote note;
-    note.line = first_line;
-
-    size_t pos =
-        comment.compare(tag, kMarker.size(), kMarker) == 0
-            ? tag
-            : std::string::npos;
-    const size_t close = pos == std::string::npos
-                             ? std::string::npos
-                             : comment.find(')', pos + kMarker.size());
-    if (pos == std::string::npos || close == std::string::npos) {
-        note.malformed = true;
-        notes_.push_back(std::move(note));
+    const size_t pos = tag + kMarker.size();
+    const size_t close = comment.find(')', pos);
+    if (close == std::string::npos)
         return;
-    }
-    pos += kMarker.size();
 
     std::set<std::string> rules;
     std::string cur;
@@ -135,13 +122,9 @@ SourceFile::recordSuppression(const std::string &comment,
             cur += c;
         } else if (!cur.empty()) {
             rules.insert(cur);
-            note.rules.push_back(cur);
             cur.clear();
         }
     }
-    if (rules.empty())
-        note.malformed = true;
-    notes_.push_back(std::move(note));
 
     // The comment's own lines plus the one after it, so the marker
     // works both trailing a statement and on its own line above one.

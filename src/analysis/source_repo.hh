@@ -28,9 +28,9 @@
  *     // gpuscale-lint: allow(rule-a, rule-b): why this is fine
  *
  * disables the named rules on the comment's own line and on the line
- * after it (covering both trailing and standalone placement).  Every
- * marker — including ones that fail to parse — is kept in
- * suppressionNotes() so the suppression rule can flag typos.
+ * after it (covering both trailing and standalone placement).  A
+ * marker that fails to parse, or names no real rule, disables
+ * nothing, so the finding it was written for still fails the run.
  *
  *     // guarded_by(mutex_name)
  *
@@ -58,13 +58,6 @@ struct StringLiteral {
     size_t offset;    ///< offset of the opening quote in code()/raw()
     int line;         ///< 1-based line of the opening quote
     std::string text; ///< contents, escapes left unprocessed
-};
-
-/** One gpuscale-lint marker comment, parseable or not. */
-struct SuppressionNote {
-    int line = 0; ///< first line of the comment block
-    std::vector<std::string> rules;
-    bool malformed = false; ///< marker present but unparseable
 };
 
 /** One // guarded_by(mutex) annotation, resolved to its field. */
@@ -123,12 +116,6 @@ class SourceFile
     /** True if a gpuscale-lint: allow(...) covers rule on this line. */
     bool suppressed(int line, const std::string &rule) const;
 
-    /** Every marker comment, for the suppression rule. */
-    const std::vector<SuppressionNote> &suppressionNotes() const
-    {
-        return notes_;
-    }
-
     /** Every guarded_by annotation, for the lock-discipline rule. */
     const std::vector<GuardAnnotation> &guardAnnotations() const
     {
@@ -177,7 +164,6 @@ class SourceFile
     bool scanned_ = false;
     std::vector<size_t> line_offsets_;
     std::vector<StringLiteral> literals_;
-    std::vector<SuppressionNote> notes_;
     std::vector<GuardAnnotation> guards_;
     /** (first_line, last_line) of each guard's comment block. */
     std::vector<std::pair<int, int>> guard_spans_;

@@ -25,19 +25,13 @@ thread_local bool t_on_pool_worker = false;
 ThreadPool &
 ThreadPool::instance()
 {
-    static ThreadPool pool;
+    // Intentionally leaked, like obs::Registry::instance(): a region
+    // may still be in flight on a detached thread when the process
+    // exits, so running a destructor from the atexit chain would race
+    // run() over current_ and join workers mid-region.  Exit leaves
+    // the workers as they are; the OS reclaims them.
+    static ThreadPool &pool = *new ThreadPool();
     return pool;
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stop_ = true;
-    }
-    work_cv_.notify_all();
-    for (auto &t : workers_)
-        t.join();
 }
 
 bool
@@ -139,11 +133,8 @@ ThreadPool::workerLoop()
         {
             std::unique_lock<std::mutex> lock(mu_);
             work_cv_.wait(lock, [&]() {
-                return stop_ ||
-                       (current_ && generation_ != seen_generation);
+                return current_ && generation_ != seen_generation;
             });
-            if (stop_)
-                return;
             seen_generation = generation_;
             task = current_;
         }

@@ -56,14 +56,12 @@ class ThreadPool
     /** Upper bound on pool growth; clamps absurd max_threads asks. */
     static constexpr unsigned kMaxWorkers = 256;
 
-    /** The process-wide pool, created on first use. */
+    /** The process-wide pool, created on first use and never
+     *  destroyed (its workers live until the process exits). */
     static ThreadPool &instance();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Stops and joins every worker. */
-    ~ThreadPool();
 
     /**
      * Grow the pool to at least `workers` threads (clamped to
@@ -140,13 +138,12 @@ class ThreadPool
     /** Serializes whole parallel regions, not individual indices. */
     std::mutex run_mu_;
 
-    /** Guards workers_, current_, generation_, stop_. */
+    /** Guards workers_, current_, generation_. */
     mutable std::mutex mu_;
     std::condition_variable work_cv_;
     std::vector<std::thread> workers_;
     std::shared_ptr<Task> current_;
     uint64_t generation_ = 0;
-    bool stop_ = false;
 
     std::atomic<uint64_t> spawned_{0};
 };

@@ -5,55 +5,40 @@
  * Scans every .cc/.hh under the repo root's src/ (plus the CMake
  * lists, for compiler-flag rules) and enforces the invariants
  * described in docs/static_analysis.md: layering, concurrency
- * hygiene, locale safety, telemetry naming, census conformance,
- * error-code use, instrument descriptions, floating-point
- * determinism, fault coverage, lock discipline, and suppression
- * marker health.
+ * hygiene, locale safety, telemetry naming, error-code use,
+ * instrument descriptions, floating-point determinism, fault
+ * coverage, and lock discipline.
+ *
+ * One policy: every finding fails the run.  The only exception is
+ * an `// gpuscale-lint: allow(rule): reason` marker on the line.
  *
  * Usage:
  *   gpuscale-lint [--root=DIR] [--rule=NAME ...] [--list-rules]
- *                 [--sarif=FILE] [--baseline=FILE] [--diff]
- *                 [--write-baseline=FILE] [--bench-json=FILE]
- *                 [--werror]
+ *                 [--bench-json=FILE]
  *
  *   --root=DIR       repository root; defaults to the nearest
  *                    ancestor of the current directory containing
  *                    src/workloads.
  *   --rule=NAME      run only the named rule (repeatable).
  *   --list-rules     print every rule with its summary and exit.
- *   --sarif=FILE     also write the reported findings as SARIF
- *                    2.1.0 (what CI uploads for PR annotations).
- *   --baseline=FILE  committed findings baseline (see
- *                    ci/lint_baseline.txt).
- *   --diff           report only findings absent from --baseline;
- *                    baselined findings still count in the summary.
- *   --write-baseline=FILE
- *                    write the current findings as a new baseline
- *                    and exit 0 (a capture run, not a gate).
  *   --bench-json=FILE
- *                    write {files, errors, warnings, suppressed,
- *                    duration_s} for the CI perf smoke gate.
- *   --werror         exit 1 on warnings too, not just errors.
+ *                    write {files, findings, suppressed, duration_s}
+ *                    for the CI wall-time gate.
  *
- * Exit codes mirror the gpuscale CLI: 0 clean (warnings allowed
- * unless --werror), 1 errors reported, 3 bad arguments.
+ * Exit codes mirror the gpuscale CLI: 0 clean, 1 findings reported,
+ * 3 bad arguments.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "analysis/baseline.hh"
 #include "analysis/rules.hh"
-#include "analysis/sarif.hh"
-#include "base/logging.hh"
 #include "obs/json.hh"
-#include "obs/metrics.hh"
 
 namespace {
 
@@ -87,10 +72,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: gpuscale-lint [--root=DIR] [--rule=NAME ...]\n"
-        "                     [--list-rules] [--sarif=FILE]\n"
-        "                     [--baseline=FILE] [--diff]\n"
-        "                     [--write-baseline=FILE]\n"
-        "                     [--bench-json=FILE] [--werror]\n"
+        "                     [--list-rules] [--bench-json=FILE]\n"
         "exit codes: 0 clean, 1 findings, 3 bad arguments\n");
 }
 
@@ -104,10 +86,9 @@ printRules(std::FILE *to,
 }
 
 /**
- * Lint's own artifacts (SARIF, baseline, bench JSON) are tool
- * output, not census data: a failed write is reported and fatal, but
- * it is not a crash-consistency surface the fault harness needs to
- * reach.
+ * The bench JSON is tool output, not census data: a failed write is
+ * reported and fatal, but it is not a crash-consistency surface the
+ * fault harness needs to reach.
  */
 bool
 writeFile(const std::string &path, const std::string &contents)
@@ -122,20 +103,6 @@ writeFile(const std::string &path, const std::string &contents)
     return static_cast<bool>(os);
 }
 
-bool
-readFile(const std::string &path, std::string &out)
-{
-    // gpuscale-lint: allow(fault-coverage): reading the committed
-    // baseline is a pure input, not a crash-consistency surface.
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return false;
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    out = ss.str();
-    return true;
-}
-
 } // namespace
 
 int
@@ -143,13 +110,8 @@ main(int argc, char **argv)
 {
     std::string root;
     std::vector<std::string> only_rules;
-    std::string sarif_path;
-    std::string baseline_path;
-    std::string write_baseline_path;
     std::string bench_json_path;
     bool list_rules = false;
-    bool diff = false;
-    bool werror = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -159,18 +121,8 @@ main(int argc, char **argv)
             only_rules.push_back(arg.substr(7));
         } else if (arg == "--list-rules") {
             list_rules = true;
-        } else if (arg.rfind("--sarif=", 0) == 0) {
-            sarif_path = arg.substr(8);
-        } else if (arg.rfind("--baseline=", 0) == 0) {
-            baseline_path = arg.substr(11);
-        } else if (arg == "--diff") {
-            diff = true;
-        } else if (arg.rfind("--write-baseline=", 0) == 0) {
-            write_baseline_path = arg.substr(17);
         } else if (arg.rfind("--bench-json=", 0) == 0) {
             bench_json_path = arg.substr(13);
-        } else if (arg == "--werror") {
-            werror = true;
         } else {
             std::fprintf(stderr, "unknown argument '%s'\n",
                          arg.c_str());
@@ -199,23 +151,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (diff && baseline_path.empty()) {
-        std::fprintf(stderr, "--diff requires --baseline=FILE\n");
-        usage();
-        return kExitBadArguments;
-    }
-
-    std::set<std::string> baseline;
-    if (!baseline_path.empty()) {
-        std::string text;
-        if (!readFile(baseline_path, text)) {
-            std::fprintf(stderr, "cannot read baseline '%s'\n",
-                         baseline_path.c_str());
-            return kExitBadArguments;
-        }
-        baseline = analysis::parseBaseline(text);
-    }
-
     if (root.empty())
         root = discoverRoot();
     if (root.empty()) {
@@ -229,9 +164,6 @@ main(int argc, char **argv)
     const auto start = std::chrono::steady_clock::now();
 
     const analysis::SourceRepo repo = analysis::loadRepo(root);
-    analysis::LintOptions opts;
-    for (const auto &rule : rules)
-        opts.known_rules.push_back(rule->name());
     analysis::Report report;
 
     for (const auto &rule : rules) {
@@ -242,7 +174,7 @@ main(int argc, char **argv)
             if (!wanted)
                 continue;
         }
-        rule->run(repo, opts, report);
+        rule->run(repo, report);
     }
 
     const double duration_s =
@@ -250,76 +182,12 @@ main(int argc, char **argv)
             std::chrono::steady_clock::now() - start)
             .count();
 
-    auto &registry = obs::Registry::instance();
-    registry
-        .counter("lint.files",
-                 "source files scanned by gpuscale-lint")
-        .inc(repo.files.size());
-    registry
-        .counter("lint.findings",
-                 "findings reported by gpuscale-lint")
-        .inc(report.findings().size());
-    registry
-        .histogram("lint.duration",
-                   "wall seconds for one full gpuscale-lint run")
-        .record(duration_s);
-
-    if (!write_baseline_path.empty()) {
-        const std::string text =
-            analysis::renderBaseline(report.findings());
-        if (!writeFile(write_baseline_path, text)) {
-            std::fprintf(stderr, "cannot write baseline '%s'\n",
-                         write_baseline_path.c_str());
-            return kExitBadArguments;
-        }
-        std::printf("gpuscale-lint: wrote %zu baseline entries to "
-                    "%s\n",
-                    report.findings().size(),
-                    write_baseline_path.c_str());
-        return kExitClean;
-    }
-
-    // With --diff, only findings absent from the baseline are
-    // reported (and gate the exit code); the rest are "baselined".
-    std::vector<analysis::Finding> reported = report.findings();
-    size_t baselined = 0;
-    if (diff) {
-        reported =
-            analysis::diffAgainstBaseline(report.findings(),
-                                          baseline);
-        baselined = report.findings().size() - reported.size();
-    }
-
-    size_t errors = 0;
-    size_t warnings = 0;
-    for (const auto &f : reported) {
-        if (f.severity == analysis::Severity::Error)
-            ++errors;
-        else
-            ++warnings;
-        std::printf("%s\n", f.render().c_str());
-    }
-
-    std::printf("gpuscale-lint: %zu files, %zu errors, %zu warnings"
-                ", %zu suppressed",
-                repo.files.size(), errors, warnings,
-                report.suppressedCount());
-    if (diff)
-        std::printf(", %zu baselined", baselined);
-    std::printf(" (%.3fs)\n", duration_s);
-
-    if (!sarif_path.empty()) {
-        std::vector<analysis::SarifRuleInfo> infos;
-        for (const auto &rule : rules)
-            infos.push_back({rule->name(), rule->description()});
-        const std::string sarif =
-            analysis::renderSarif(reported, infos);
-        if (!writeFile(sarif_path, sarif)) {
-            std::fprintf(stderr, "cannot write SARIF '%s'\n",
-                         sarif_path.c_str());
-            return kExitBadArguments;
-        }
-    }
+    const size_t findings = report.findings().size();
+    std::fputs(report.render().c_str(), stdout);
+    std::printf("gpuscale-lint: %zu files, %zu findings, %zu "
+                "suppressed (%.3fs)\n",
+                repo.files.size(), findings, report.suppressedCount(),
+                duration_s);
 
     if (!bench_json_path.empty()) {
         std::ostringstream os;
@@ -328,9 +196,7 @@ main(int argc, char **argv)
             w.beginObject();
             w.key("files")
                 .value(static_cast<uint64_t>(repo.files.size()));
-            w.key("errors").value(static_cast<uint64_t>(errors));
-            w.key("warnings")
-                .value(static_cast<uint64_t>(warnings));
+            w.key("findings").value(static_cast<uint64_t>(findings));
             w.key("suppressed")
                 .value(static_cast<uint64_t>(
                     report.suppressedCount()));
@@ -345,7 +211,5 @@ main(int argc, char **argv)
         }
     }
 
-    if (errors > 0 || (werror && warnings > 0))
-        return kExitFindings;
-    return kExitClean;
+    return findings > 0 ? kExitFindings : kExitClean;
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * AMD APP SDK-style suite: 18 programs, 44 kernels.
+ * AMD APP SDK-style suite.
  *
  * SDK samples are tutorial-scale: many were written for GPUs an order
  * of magnitude smaller than the studied 44-CU part, so a large share

@@ -1,6 +1,6 @@
 /**
  * @file
- * OpenDwarfs-style suite: 13 programs, 38 kernels.
+ * OpenDwarfs-style suite.
  *
  * One application per Berkeley dwarf; the irregular dwarfs (dynamic
  * programming, branch-and-bound, graphical models) contribute

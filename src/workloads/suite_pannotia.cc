@@ -1,6 +1,6 @@
 /**
  * @file
- * Pannotia-style suite: 6 programs, 23 kernels.
+ * Pannotia-style suite.
  *
  * Pannotia is all irregular graph analytics: frontier-driven
  * traversals with data-dependent launches, heavy divergence, poor

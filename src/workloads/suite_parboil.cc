@@ -1,6 +1,6 @@
 /**
  * @file
- * Parboil-style suite: 11 programs, 30 kernels.
+ * Parboil-style suite.
  *
  * Parboil's applications skew toward throughput kernels with large,
  * regular launches (sgemm, lbm, stencil), plus irregular standouts

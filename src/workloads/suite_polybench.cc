@@ -1,6 +1,6 @@
 /**
  * @file
- * PolyBench/GPU-style suite: 15 programs, 38 kernels.
+ * PolyBench/GPU-style suite.
  *
  * Auto-generated dense linear algebra: large regular launches with
  * simple access functions.  Matrix-matrix kernels are compute bound,

@@ -1,6 +1,6 @@
 /**
  * @file
- * Rodinia-style suite: 20 programs, 58 kernels.
+ * Rodinia-style suite.
  *
  * Parameters follow the behaviour of the Rodinia 3.x OpenCL
  * applications: iterative stencils (hotspot, srad), wavefront

@@ -1,6 +1,6 @@
 /**
  * @file
- * SHOC-style suite: 14 programs, 36 kernels.
+ * SHOC-style suite.
  *
  * SHOC mixes microbenchmarks that pin single resources (maxflops,
  * devicememory, triad) with level-2 application kernels (s3d,

